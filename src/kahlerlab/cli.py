@@ -302,11 +302,12 @@ def run_hplanar(args, rng):
     v0s = [rng.uniform(-0.7, 0.7, model.dim) for _ in range(count)]
     als = [float(rng.uniform(-0.3, 0.3)) for _ in range(count)]
     bes = [float(rng.uniform(-0.5, 0.5)) for _ in range(count)]
-    curves = curvemod.integrate_hplanar_batch(model, x0s, v0s, als, bes, 1.0, step)
+    # the energy geodesic rides in the main batch as its last curve
+    *curves, geo = curvemod.integrate_hplanar_batch(
+        model, x0s + x0s[:1], v0s + v0s[:1], als + [0.0], bes + [0.0], 1.0, step)
     devs = [curvemod.line_deviation(model, c, x0s[i], v0s[i])
             for i, c in enumerate(curves)]
     defects = [float(np.nanmax(curvemod.hplanarity_defect(model, c))) for c in curves[:3]]
-    geo = curvemod.integrate_hplanar(model, x0s[0], v0s[0], 0.0, 0.0, 1.0, step)
     ratio = curvemod.rk4_order_ratio(model, x0s[0], v0s[0], als[0], bes[0], 0.5, 4e-3)
     rep_ok, _, _ = curvemod.reparametrization_invariance_check(model, curves[0])
     checks = [
@@ -332,10 +333,10 @@ def run_hplanar(args, rng):
         gbar = pullback_fs(_read_matrix(args.A_file), args.chart_index)
         sol = PairSolution(model, gbar)
         vf = lambda pt: sol.lambda_bar_vector_at(pt)
-        drifts = []
-        for i in range(min(5, count)):
-            g = curvemod.integrate_hplanar(model, x0s[i], v0s[i], 0.0, 0.0, 1.0, 2e-3)
-            drifts.append(curvemod.killing_integral_drift(model, g, vf, stride=25))
+        k = min(5, count)
+        geos = curvemod.integrate_hplanar_batch(model, x0s[:k], v0s[:k],
+                                                [0.0] * k, [0.0] * k, 1.0, 2e-3)
+        drifts = [curvemod.killing_integral_drift(model, g, vf, stride=25) for g in geos]
         checks.append(check("killing_integral_drift", max(drifts), 1e-7))
     return model, checks, artifacts
 
@@ -455,6 +456,12 @@ def main(argv=None):
     try:
         if getattr(args, "config", None) and args.scenario != "report-merge":
             args = _apply_config(args, argv if argv is not None else sys.argv[1:])
+        # config-file values bypass argparse's type checks
+        if not isinstance(args.samples, int) or args.samples < 1:
+            raise ConfigError(f"samples must be an integer >= 1, got {args.samples!r}")
+        if args.step is not None and not (isinstance(args.step, (int, float))
+                                          and args.step > 0):
+            raise ConfigError(f"step must be a positive number, got {args.step!r}")
         rng = np.random.default_rng(args.seed)
         out = runner(args, rng)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OutOfDomainError, UnsupportedModelError
 from .models import ChartPoint
-from .prolongation import _geo_floats, _geo_floats_batch
+from .prolongation import _geo_floats_batch
 
 
 @dataclass
@@ -77,100 +77,86 @@ def poly_coefficient(*coeffs):
 
 def integrate_hplanar(model, x0: ChartPoint, v0, alpha=0.0, beta=0.0,
                       t_end=1.0, step=1e-3, margin=0.05):
-    """RK4 integration of the planar-curve ODE from (x0, v0).
+    """RK4 integration of the planar-curve ODE from (x0, v0): a batch of one
+    (see ``integrate_hplanar_batch``)."""
+    return integrate_hplanar_batch(model, [x0], [v0], [alpha], [beta],
+                                   t_end, step, margin)[0]
 
-    Samples are re-charted through the transition maps whenever they leave
-    the margin-shrunk chart box; if no chart covers the point, an
-    out-of-domain error carrying the last valid sample is raised.
+
+def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3,
+                            margin=0.05):
+    """Lockstep RK4 for a batch of curves.  Returns a list of CurveSample.
+
+    Each RK4 stage evaluates the geometry in one batched call per chart that
+    holds curves.  After every step a curve on a torus is wrapped into the
+    fundamental domain; elsewhere a curve that leaves the margin-shrunk box of
+    its chart is re-charted through the transition maps.  If no chart covers
+    it, an out-of-domain error carrying that curve's last valid sample is
+    raised.
     """
-    v0 = np.asarray(v0, dtype=float)
-    if float(np.linalg.norm(v0)) == 0.0:
-        raise InvalidInputError("initial velocity must be nonzero")
+    nb = len(x0s)
+    if nb == 0:
+        raise InvalidInputError("a batch needs at least one curve")
+    if not len(v0s) == len(alphas) == len(betas) == nb:
+        raise InvalidInputError("x0s, v0s, alphas and betas must have equal lengths")
     if step <= 0:
         raise InvalidInputError("step must be positive")
-    alpha = as_coefficient(alpha)
-    beta = as_coefficient(beta)
-    chart, x, v = x0.chart, np.array(x0.coords, dtype=float), v0.copy()
-    nsteps = int(np.ceil(t_end / step))
-    times = [0.0]
-    points = [ChartPoint(chart, x)]
-    vels = [v.copy()]
-
-    def acc(ch, xx, vv, t):
-        gm, gamma = _geo_floats(model, ch, xx)
-        J = model.j_matrix(ch)
-        return (-np.einsum("ijk,j,k->i", gamma, vv, vv)
-                + alpha(t) * vv + beta(t) * (J @ vv))
-
-    for s in range(nsteps):
-        t = s * step
-        h = min(step, t_end - t)
-        k1x, k1v = v, acc(chart, x, v, t)
-        k2x, k2v = v + h / 2 * k1v, acc(chart, x + h / 2 * k1x, v + h / 2 * k1v, t + h / 2)
-        k3x, k3v = v + h / 2 * k2v, acc(chart, x + h / 2 * k2x, v + h / 2 * k2v, t + h / 2)
-        k4x, k4v = v + h * k3v, acc(chart, x + h * k3x, v + h * k3v, t + h)
-        x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if model.periods is not None:
-            x = model.wrap(ChartPoint(chart, x)).coords
-        elif not model.chart(chart).contains(x, margin):
-            pt, vv = model.rechart(ChartPoint(chart, x), v)
-            chart, x, v = pt.chart, pt.coords, vv
-            if not model.chart(chart).contains(x):
-                raise OutOfDomainError(
-                    f"curve left the atlas at t={t + h:.4f}",
-                    last_sample=CurveSample(times, points, vels))
-        times.append(t + h)
-        points.append(ChartPoint(chart, x))
-        vels.append(v.copy())
-    return CurveSample(np.array(times), points, vels)
-
-
-def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3):
-    """Lockstep RK4 for a batch of curves in one chart (no re-charting; a
-    curve that leaves the chart box raises).  Returns a list of CurveSample.
-    """
-    chart = x0s[0].chart
+    V = np.stack([np.asarray(v, dtype=float) for v in v0s])
+    if np.any(np.linalg.norm(V, axis=1) == 0.0):
+        raise InvalidInputError("initial velocity must be nonzero")
     X = np.stack([p.coords for p in x0s]).astype(float)
-    V = np.stack(v0s).astype(float)
+    charts = [p.chart for p in x0s]
     alphas = [as_coefficient(a) for a in alphas]
     betas = [as_coefficient(b) for b in betas]
-    J = model.j_matrix(chart)
-    nb = X.shape[0]
     nsteps = int(np.ceil(t_end / step))
-    box = model.chart(chart)
+    times = [0.0]
+    traj_c = [list(charts)]
     traj_x = [X.copy()]
     traj_v = [V.copy()]
-    times = [0.0]
 
-    def acc(XX, VV, t):
-        G, GAM = _geo_floats_batch(model, chart, XX)
+    def sample(b):
+        """Curve b as sampled so far."""
+        return CurveSample(np.array(times),
+                           [ChartPoint(cs[b], xs[b]) for cs, xs in zip(traj_c, traj_x)],
+                           [vs[b] for vs in traj_v])
+
+    def acc(groups, XX, VV, t):
         al = np.array([a(t) for a in alphas])
         be = np.array([b(t) for b in betas])
-        return (-np.einsum("bijk,bj,bk->bi", GAM, VV, VV)
-                + al[:, None] * VV + be[:, None] * (VV @ J.T))
+        out = np.empty_like(VV)
+        for chart, idx in groups:
+            _, GAM = _geo_floats_batch(model, chart, XX[idx])
+            Vc = VV[idx]
+            out[idx] = (-np.einsum("bijk,bj,bk->bi", GAM, Vc, Vc)
+                        + al[idx, None] * Vc
+                        + be[idx, None] * (Vc @ model.j_matrix(chart).T))
+        return out
 
     for s in range(nsteps):
         t = s * step
         h = min(step, t_end - t)
-        k1x, k1v = V, acc(X, V, t)
-        k2x, k2v = V + h / 2 * k1v, acc(X + h / 2 * k1x, V + h / 2 * k1v, t + h / 2)
-        k3x, k3v = V + h / 2 * k2v, acc(X + h / 2 * k2x, V + h / 2 * k2v, t + h / 2)
-        k4x, k4v = V + h * k3v, acc(X + h * k3x, V + h * k3v, t + h)
+        groups = [(c, np.array([b for b in range(nb) if charts[b] == c]))
+                  for c in sorted(set(charts))]
+        k1x, k1v = V, acc(groups, X, V, t)
+        k2x, k2v = V + h / 2 * k1v, acc(groups, X + h / 2 * k1x, V + h / 2 * k1v, t + h / 2)
+        k3x, k3v = V + h / 2 * k2v, acc(groups, X + h / 2 * k2x, V + h / 2 * k2v, t + h / 2)
+        k4x, k4v = V + h * k3v, acc(groups, X + h * k3x, V + h * k3v, t + h)
         X = X + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         V = V + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if model.periods is None and not all(box.contains(x) for x in X):
-            raise OutOfDomainError(f"a batched curve left chart {chart} at t={t + h:.4f}")
+        for b in range(nb):
+            if model.periods is not None:
+                X[b] = model.wrap(ChartPoint(charts[b], X[b])).coords
+            elif not model.chart(charts[b]).contains(X[b], margin):
+                pt, vv = model.rechart(ChartPoint(charts[b], X[b]), V[b])
+                if not model.chart(pt.chart).contains(pt.coords):
+                    raise OutOfDomainError(f"curve {b} left the atlas at t={t + h:.4f}",
+                                           last_sample=sample(b))
+                charts[b], X[b], V[b] = pt.chart, pt.coords, vv
         times.append(t + h)
+        traj_c.append(list(charts))
         traj_x.append(X.copy())
         traj_v.append(V.copy())
-    tarr = np.array(times)
-    out = []
-    for b in range(nb):
-        pts = [ChartPoint(chart, traj_x[s][b]) for s in range(len(times))]
-        vels = [traj_v[s][b] for s in range(len(times))]
-        out.append(CurveSample(tarr, pts, vels))
-    return out
+    return [sample(b) for b in range(nb)]
 
 
 # -- defect and membership tests ----------------------------------------------

@@ -153,3 +153,25 @@ def test_hplanar_csv_artifacts(tmp_path, capsys):
         header = open(path).readline().strip().split(",")
         assert header[:2] == ["t", "chart"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-kahler", "--samples", "0"],
+    ["hplanar", "--model", "flat", "--samples", "0"],
+    ["hpr-check", "--samples", "0"],
+    ["mobility", "--model", "torus", "--B", "0", "--step", "-1"],
+])
+def test_bad_samples_or_step_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "rep.json"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("cfg_values", [{"samples": 0}, {"samples": "3"},
+                                        {"step": -1.0}, {"step": "1e-3"}])
+def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_values))
+    assert _run(["verify-kahler", "--model", "flat", "--config", str(cfg)]) == 2
+    capsys.readouterr()

@@ -9,6 +9,7 @@ from kahlerlab.curves import (CurveSample, energy_drift, hplanarity_defect,
 from kahlerlab.errors import (InvalidInputError, OutOfDomainError,
                               UnsupportedModelError)
 from kahlerlab.models import ChartPoint, flat_model
+from kahlerlab.prolongation import _geo_floats
 
 
 def test_flat_straight_line(flat2):
@@ -70,12 +71,51 @@ def test_reparametrization_invariance_planar(fs2, rng):
     assert passed and d1 < 1e-8
 
 
-def test_batch_integration_matches_single(fs2, rng):
-    x0 = fs2.point([0.1, -0.05, 0.2, 0.0])
-    v0 = np.array([0.5, 0.2, -0.1, 0.3])
-    single = integrate_hplanar(fs2, x0, v0, 0.2, -0.3, 1.0, 2e-3)
-    batch = integrate_hplanar_batch(fs2, [x0], [v0], [0.2], [-0.3], 1.0, 2e-3)[0]
-    assert np.max(np.abs(single.points[-1].coords - batch.points[-1].coords)) < 1e-12
+def _reference_integrate(model, x0, v0, alpha, beta, t_end, step):
+    """Per-point RK4 loop with single-point geometry and chart switching,
+    for constant alpha and beta: the reference for the lockstep batch.
+    Returns (charts, coords)."""
+    chart, x, v = x0.chart, np.array(x0.coords, dtype=float), np.array(v0, dtype=float)
+    charts, coords = [chart], [x]
+
+    def acc(xx, vv):
+        _, gamma = _geo_floats(model, chart, xx)
+        return (-np.einsum("ijk,j,k->i", gamma, vv, vv)
+                + alpha * vv + beta * (model.j_matrix(chart) @ vv))
+
+    for s in range(int(np.ceil(t_end / step))):
+        h = min(step, t_end - s * step)
+        k1x, k1v = v, acc(x, v)
+        k2x, k2v = v + h / 2 * k1v, acc(x + h / 2 * k1x, v + h / 2 * k1v)
+        k3x, k3v = v + h / 2 * k2v, acc(x + h / 2 * k2x, v + h / 2 * k2v)
+        k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
+        x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not model.chart(chart).contains(x, 0.05):
+            pt, v = model.rechart(ChartPoint(chart, x), v)
+            chart, x = pt.chart, pt.coords
+        charts.append(chart)
+        coords.append(x)
+    return charts, np.stack(coords)
+
+
+def test_batch_switches_charts_per_curve(fs2, ga_diag):
+    # curve A runs far enough to switch from c0 to c1; curve B stays in c0.
+    # The pullback's chart metrics differ, so a curve evaluated in another
+    # curve's chart shows there.
+    for model in (fs2, ga_diag):
+        x0s = [model.point([0.0] * 4), model.point([0.1, -0.05, 0.2, 0.0])]
+        v0s = [np.array([1.2, 0.0, 0.0, 0.0]), np.array([0.5, 0.2, -0.1, 0.3])]
+        alphas, betas = [0.0, -0.2], [0.0, 0.4]
+        batch = integrate_hplanar_batch(model, x0s, v0s, alphas, betas, 3.0, 1e-2)
+        for b, curve in enumerate(batch):
+            charts, coords = _reference_integrate(model, x0s[b], v0s[b], alphas[b],
+                                                  betas[b], 3.0, 1e-2)
+            assert [p.chart for p in curve.points] == charts
+            got = np.stack([p.coords for p in curve.points])
+            assert np.max(np.abs(got - coords)) < 1e-12
+        assert {p.chart for p in batch[0].points} == {"c0", "c1"}
+        assert {p.chart for p in batch[1].points} == {"c0"}
 
 
 def test_killing_integral_drift(fs2, pair_sol, rng):
@@ -108,6 +148,14 @@ def test_out_of_domain(flat2):
         integrate_hplanar(flat2, flat2.point([0.0] * 4),
                           np.array([30.0, 0, 0, 0]), 0.0, 0.0, 1.0, 1e-2)
     assert err.value.last_sample is not None
+    # in a batch, the error carries the sample of the curve that left
+    with pytest.raises(OutOfDomainError) as err:
+        integrate_hplanar_batch(flat2, [flat2.point([0.0] * 4)] * 2,
+                                [np.array([0.1, 0, 0, 0]), np.array([0, 30.0, 0, 0])],
+                                [0.0, 0.0], [0.0, 0.0], 1.0, 1e-2)
+    last = err.value.last_sample
+    assert np.array_equal(last.velocities[0], [0, 30.0, 0, 0])
+    assert len(last) > 1 and last.points[-1].coords[1] > 0
 
 
 def test_torus_wrapping_keeps_curve_inside(torus2):
@@ -141,6 +189,15 @@ def test_invalid_inputs(flat2):
         integrate_hplanar(flat2, flat2.point([0.0] * 4), np.zeros(4))
     with pytest.raises(InvalidInputError):
         integrate_hplanar(flat2, flat2.point([0.0] * 4), np.ones(4), step=-1.0)
+    x0, v0 = flat2.point([0.0] * 4), np.ones(4)
+    with pytest.raises(InvalidInputError):
+        integrate_hplanar_batch(flat2, [], [], [], [])
+    with pytest.raises(InvalidInputError):
+        integrate_hplanar_batch(flat2, [x0, x0], [v0], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(InvalidInputError):
+        integrate_hplanar_batch(flat2, [x0], [v0], [0.0, 0.0], [0.0])
+    with pytest.raises(InvalidInputError):
+        integrate_hplanar_batch(flat2, [x0, x0], [v0, np.zeros(4)], [0.0] * 2, [0.0] * 2)
 
 
 def test_poly_coefficient_builtin(fs2, rng):
