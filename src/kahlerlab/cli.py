@@ -14,16 +14,15 @@ import numpy as np
 
 from . import __version__
 from . import curves as curvemod
-from .errors import ConfigError, KahlerLabError
+from .errors import ConfigError, InvalidInputError, KahlerLabError
 from .geometry import cov_step_jet, riemann_symmetry_residuals
 from .hproj import (PairSolution, c_identity_check, geom, hpr_residual,
                     lambda_least_squares, lambda_scalar_field)
 from .models import (complex_matrix_from_pairs, flat_model, flat_torus,
                      fubini_study, model_from_descriptor, pullback_fs)
-from .prolongation import (MobilityConfig, TransportSolution,
+from .prolongation import (MobilityConfig, TannoSolution, TransportSolution,
                            degree_of_mobility, estimate_B, extended_residual,
-                           laplace_identity_residual, tanno_residual,
-                           tanno_to_extended)
+                           laplace_identity_residual, tanno_residual)
 from .spectral import (L_product, PolynomialSolution, build_L,
                        eigenstructure_report, hessian_mu_check, make_projector,
                        minimal_poly, renormalize_to_minus_one)
@@ -265,7 +264,7 @@ def run_tanno(args, rng):
                   for p in pts)
     worst_l = max(float(np.max(np.abs(laplace_identity_residual(g_model, solB, p))))
                   for p in pts)
-    ext = tanno_to_extended(g_model, lam_field, kappa)
+    ext = TannoSolution(g_model, lam_field, kappa)
     worst_rt = 0.0
     for p in pts[:5]:
         worst_rt = max(worst_rt, _line_distance(g_model, solB, ext, kappa, p))
@@ -295,6 +294,7 @@ def _line_distance(model, sol, ext, B, point):
 
 def run_hplanar(args, rng):
     model = _model_from_args(args)
+    curvemod.check_line_notion(model)
     tol = args.tol if args.tol else 1e-6
     step = args.step if args.step else 1e-3
     count = min(args.samples, 10)
@@ -464,11 +464,11 @@ def main(argv=None):
             raise ConfigError(f"step must be a positive number, got {args.step!r}")
         rng = np.random.default_rng(args.seed)
         out = runner(args, rng)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except InvalidInputError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except KahlerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OutOfDomainError, UnsupportedModelError
 from .models import ChartPoint
-from .prolongation import _geo_floats_batch
+from .prolongation import _geo_floats_batch, rk4_step
 
 
 @dataclass
@@ -132,17 +132,16 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
                         + be[idx, None] * (Vc @ model.j_matrix(chart).T))
         return out
 
+    def f(c, y):
+        XX, VV = y
+        return VV, acc(groups, XX, VV, t + c * h)
+
     for s in range(nsteps):
         t = s * step
         h = min(step, t_end - t)
         groups = [(c, np.array([b for b in range(nb) if charts[b] == c]))
                   for c in sorted(set(charts))]
-        k1x, k1v = V, acc(groups, X, V, t)
-        k2x, k2v = V + h / 2 * k1v, acc(groups, X + h / 2 * k1x, V + h / 2 * k1v, t + h / 2)
-        k3x, k3v = V + h / 2 * k2v, acc(groups, X + h / 2 * k2x, V + h / 2 * k2v, t + h / 2)
-        k4x, k4v = V + h * k3v, acc(groups, X + h * k3x, V + h * k3v, t + h)
-        X = X + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        V = V + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        X, V = rk4_step(f, (X, V), h)
         for b in range(nb):
             if model.periods is not None:
                 X[b] = model.wrap(ChartPoint(charts[b], X[b])).coords
@@ -186,41 +185,50 @@ def _wedge_defect(accel, v, J):
     return float(np.linalg.svd(cols, compute_uv=False)[-1])
 
 
-def _gammas_along(model, curve, idxs):
-    out = [None] * len(idxs)
+def _geometry_along(model, curve, idxs):
+    """Metric and connection at selected samples, batched chart by chart:
+    two lists aligned with ``idxs``."""
+    gms, gammas = [None] * len(idxs), [None] * len(idxs)
     by_chart = {}
     for pos, idx in enumerate(idxs):
         by_chart.setdefault(curve.points[idx].chart, []).append((pos, idx))
     for chart, items in by_chart.items():
         X = np.stack([curve.points[idx].coords for _, idx in items])
-        _, GAM = _geo_floats_batch(model, chart, X)
-        for (pos, _), gam in zip(items, GAM):
-            out[pos] = gam
+        G, GAM = _geo_floats_batch(model, chart, X)
+        for (pos, _), gm, gam in zip(items, G, GAM):
+            gms[pos], gammas[pos] = gm, gam
+    return gms, gammas
+
+
+def _accelerations(model, curve):
+    """Covariant accelerations dv/dt + Gamma(v, v) at samples 2..len-3, with
+    dv/dt from finite differences (independent of the integrator's own
+    right-hand side); None where the stencil straddles a chart switch."""
+    dv = _fd_velocity_derivative(curve)
+    idxs = list(range(2, len(curve) - 2))
+    _, gammas = _geometry_along(model, curve, idxs)
+    out = []
+    for pos, idx in enumerate(idxs):
+        v = curve.velocities[idx]
+        if len({curve.points[k].chart for k in (idx - 2, idx, idx + 2)}) > 1:
+            out.append(None)
+        else:
+            out.append(dv[idx - 2] + np.einsum("ijk,j,k->i", gammas[pos], v, v))
     return out
 
 
 def hplanarity_defect(model, curve):
     """Per-sample planarity defect: the smallest singular value of the
     column-normalized matrix [acc | v | Jv], where the acceleration is
-    recovered from the samples by finite differences (independent of the
-    integrator's own right-hand side).  Zero iff the three are dependent.
+    recovered from the samples by finite differences.  Zero iff the three
+    are dependent; NaN where the stencil straddles a chart switch.
     """
     if len(curve) < 5:
         raise InvalidInputError("defect needs at least 5 samples")
-    dv = _fd_velocity_derivative(curve)
-    idxs = list(range(2, len(curve) - 2))
-    gammas = _gammas_along(model, curve, idxs)
-    out = []
-    for pos, idx in enumerate(idxs):
-        pt = curve.points[idx]
-        v = curve.velocities[idx]
-        if pt.chart != curve.points[idx - 2].chart or \
-           pt.chart != curve.points[idx + 2].chart:
-            out.append(np.nan)  # stencil straddles a chart switch
-            continue
-        accel = dv[idx - 2] + np.einsum("ijk,j,k->i", gammas[pos], v, v)
-        out.append(_wedge_defect(accel, v, model.j_matrix(pt.chart)))
-    return np.array(out)
+    return np.array([np.nan if accel is None else
+                     _wedge_defect(accel, curve.velocities[idx],
+                                   model.j_matrix(curve.points[idx].chart))
+                     for idx, accel in enumerate(_accelerations(model, curve), start=2)])
 
 
 def _homogeneous_lift(model, pt):
@@ -238,6 +246,16 @@ def _homogeneous_lift(model, pt):
     return hom / np.linalg.norm(hom)
 
 
+LINE_KINDS = ("flat", "fs", "pullback")
+
+
+def check_line_notion(model):
+    """Raise unless ``line_deviation`` has a line notion for the model's kind."""
+    if model.kind not in LINE_KINDS:
+        raise UnsupportedModelError(f"no line notion for model kind {model.kind!r}; "
+                                    f"line checks exist for {', '.join(LINE_KINDS)}")
+
+
 def line_deviation(model, curve, x0: ChartPoint, v0, per_sample=False):
     """Distance of the curve from the plane/line its initial data spans.
 
@@ -247,6 +265,7 @@ def line_deviation(model, curve, x0: ChartPoint, v0, per_sample=False):
     against the complex 2-plane spanned by the lifts of (x0, v0).
     Returns the max over samples, or the per-sample array when asked.
     """
+    check_line_notion(model)
     v0 = np.asarray(v0, dtype=float)
     if model.kind == "flat":
         J = model.j_matrix(x0.chart)
@@ -256,7 +275,7 @@ def line_deviation(model, curve, x0: ChartPoint, v0, per_sample=False):
         for pt in curve.points:
             dx = pt.coords - x0.coords
             vals.append(float(np.linalg.norm(dx - q @ (q.T @ dx))))
-    elif model.kind in ("fs", "pullback"):
+    else:
         n = model.n
         k = int(x0.chart[1:])
         h0 = _homogeneous_lift(model, x0)
@@ -273,23 +292,19 @@ def line_deviation(model, curve, x0: ChartPoint, v0, per_sample=False):
         for pt in curve.points:
             w = _homogeneous_lift(model, pt)
             vals.append(float(np.linalg.norm(w - q @ (q.conj().T @ w))))
-    else:
-        raise UnsupportedModelError(f"no line notion for model kind {model.kind!r}")
     return np.array(vals) if per_sample else float(np.max(vals))
 
 
-def _metrics_along(model, curve, idxs):
-    """Metric matrices at selected samples, batched chart by chart."""
-    out = [None] * len(idxs)
-    by_chart = {}
-    for pos, idx in enumerate(idxs):
-        by_chart.setdefault(curve.points[idx].chart, []).append((pos, idx))
-    for chart, items in by_chart.items():
-        X = np.stack([curve.points[idx].coords for _, idx in items])
-        G, _ = _geo_floats_batch(model, chart, X)
-        for (pos, _), gm in zip(items, G):
-            out[pos] = gm
-    return out
+def _pairing_drift(model, curve, other, stride):
+    """Max drift of g(curve velocity, other(sample index)) over every
+    stride-th sample and the last one."""
+    idxs = list(range(0, len(curve), max(1, stride)))
+    if idxs[-1] != len(curve) - 1:
+        idxs.append(len(curve) - 1)
+    gms, _ = _geometry_along(model, curve, idxs)
+    vals = np.array([float(curve.velocities[idx] @ gms[pos] @ other(idx))
+                     for pos, idx in enumerate(idxs)])
+    return float(np.max(np.abs(vals - vals[0])))
 
 
 def killing_integral_drift(model, curve, v_field, stride=1):
@@ -298,24 +313,12 @@ def killing_integral_drift(model, curve, v_field, stride=1):
     ``stride`` monitors every stride-th sample (the pairing is smooth, so a
     moderate stride loses nothing at these tolerances).
     """
-    idxs = list(range(0, len(curve), max(1, stride)))
-    if idxs[-1] != len(curve) - 1:
-        idxs.append(len(curve) - 1)
-    gms = _metrics_along(model, curve, idxs)
-    vals = np.array([float(curve.velocities[idx] @ gms[pos] @ v_field(curve.points[idx]))
-                     for pos, idx in enumerate(idxs)])
-    return float(np.max(np.abs(vals - vals[0])))
+    return _pairing_drift(model, curve, lambda idx: v_field(curve.points[idx]), stride)
 
 
 def energy_drift(model, curve, stride=1):
     """Max drift of g(v, v) along the curve (conserved for geodesics)."""
-    idxs = list(range(0, len(curve), max(1, stride)))
-    if idxs[-1] != len(curve) - 1:
-        idxs.append(len(curve) - 1)
-    gms = _metrics_along(model, curve, idxs)
-    vals = np.array([float(curve.velocities[idx] @ gms[pos] @ curve.velocities[idx])
-                     for pos, idx in enumerate(idxs)])
-    return float(np.max(np.abs(vals - vals[0])))
+    return _pairing_drift(model, curve, lambda idx: curve.velocities[idx], stride)
 
 
 def reparametrization_invariance_check(model, curve, tol=1e-6):
@@ -332,14 +335,9 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
     base_max = float(np.nanmax(base))
 
     t_end = float(curve.times[-1])
-    dv = _fd_velocity_derivative(curve)
-    idxs = list(range(2, len(curve) - 2))
-    gammas = _gammas_along(model, curve, idxs)
     worst = 0.0
-    for pos, idx in enumerate(idxs):
-        pt = curve.points[idx]
-        if pt.chart != curve.points[idx - 2].chart or \
-           pt.chart != curve.points[idx + 2].chart:
+    for idx, accel in enumerate(_accelerations(model, curve), start=2):
+        if accel is None:
             continue
         t = curve.times[idx]
         # invert t = t_end * s^2 (3 - 2 s) for s in [0, 1]
@@ -356,10 +354,9 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
         if abs(td) < 1e-8:
             continue
         v = curve.velocities[idx]
-        accel = dv[idx - 2] + np.einsum("ijk,j,k->i", gammas[pos], v, v)
-        new_v = td * v
         new_acc = td * td * accel + tdd * v
-        worst = max(worst, _wedge_defect(new_acc, new_v, model.j_matrix(pt.chart)))
+        worst = max(worst, _wedge_defect(new_acc, td * v,
+                                         model.j_matrix(curve.points[idx].chart)))
     passed = (base_max <= tol) == (worst <= tol)
     return passed, base_max, worst
 

@@ -81,23 +81,6 @@ class MetricJet:
         return np.linalg.inv(self.g)
 
 
-@dataclass
-class ComplexStructureJet:
-    """(1,1) complex-structure components and first partials at a point."""
-
-    point: np.ndarray
-    J: np.ndarray
-    dJ: np.ndarray = None
-
-    @staticmethod
-    def constant(x, J):
-        J = np.asarray(J, dtype=float)
-        return ComplexStructureJet(np.asarray(x, float), J, np.zeros(J.shape + J.shape[:1]))
-
-    def square_residual(self):
-        return float(np.max(np.abs(self.J @ self.J + np.eye(self.J.shape[0]))))
-
-
 def christoffels(mj: MetricJet) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[i,j,k] = Gamma^i_jk."""
     mj.require(1)
@@ -183,6 +166,17 @@ def cov_step_jet(Tjet: Jet, variance, gamma_jet: Jet) -> Jet:
     return out
 
 
+def cov_derivatives(Tjet: Jet, variance, gamma_jet: Jet, k):
+    """The jets of nabla T, ..., nabla^k T: k successive ``cov_step_jet``s."""
+    out = []
+    var = tuple(variance)
+    for _ in range(k):
+        Tjet = cov_step_jet(Tjet, var, gamma_jet)
+        var = var + ("l",)
+        out.append(Tjet)
+    return out
+
+
 def covariant_derivative(T_fn, g_fn, x, order, variance):
     """Exact components of nabla^order T at x (derivative indices appended last).
 
@@ -191,15 +185,8 @@ def covariant_derivative(T_fn, g_fn, x, order, variance):
     """
     if not 1 <= order <= 3:
         raise InsufficientJetError("covariant_derivative supports orders 1..3")
-    Tjet = jet_eval(T_fn, x, order)
-    gjet = jet_eval(g_fn, x, order)
-    gamma = christoffel_jet(gjet)
-    var = tuple(variance)
-    cur = Tjet
-    for _ in range(order):
-        cur = cov_step_jet(cur, var, gamma)
-        var = var + ("l",)
-    return cur.const
+    gamma = christoffel_jet(jet_eval(g_fn, x, order))
+    return cov_derivatives(jet_eval(T_fn, x, order), variance, gamma, order)[-1].const
 
 
 # -- Kähler-structure verification ----------------------------------------

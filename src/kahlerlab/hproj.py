@@ -20,9 +20,9 @@ its defect.  Everything here is pure and pointwise-parallel.
 import numpy as np
 
 from .errors import InvalidInputError, ShapeMismatchError, SingularMetricError
-from .geometry import christoffel_jet, cov_step_jet
+from .geometry import MetricJet, christoffel_jet, cov_step_jet, riemann
 from .jets import Jet, jet_det, jet_einsum, jet_eval, jet_matrix_inverse
-from .tensors import hermitize
+from .tensors import hermitize, jtensor_contract
 
 
 # -- shared geometry bundle -------------------------------------------------
@@ -213,26 +213,21 @@ class CombinationSolution(SolutionField):
         Bs = {s.B for _, s in flat if s.B is not None}
         super().__init__(model, Bs.pop() if len(Bs) == 1 else None)
 
-    def a_jet(self, point, order):
+    def _combine(self, name, point, order):
         acc = None
         for c, s in self.terms:
-            j = s.a_jet(point, order) * c
+            j = getattr(s, name)(point, order) * c
             acc = j if acc is None else acc + j
         return acc
+
+    def a_jet(self, point, order):
+        return self._combine("a_jet", point, order)
 
     def lam_jet(self, point, order):
-        acc = None
-        for c, s in self.terms:
-            j = s.lam_jet(point, order) * c
-            acc = j if acc is None else acc + j
-        return acc
+        return self._combine("lam_jet", point, order)
 
     def mu_jet(self, point, order):
-        acc = None
-        for c, s in self.terms:
-            j = s.mu_jet(point, order) * c
-            acc = j if acc is None else acc + j
-        return acc
+        return self._combine("mu_jet", point, order)
 
 
 class PsiSolution(SolutionField):
@@ -333,20 +328,44 @@ def lambda_least_squares(model, sol, point):
     g = geom(model, point, 1)
     da = cov_step_jet(sol.a_jet(point, 1), ("l", "l"), g["gamma"]).const
     d = model.dim
-    gm, J = g["g"].const, g["J"]
-    Jlow = gm @ J
-    # design matrix: residual is linear in lambda
-    cols = []
-    for b in range(d):
-        lam = np.zeros(d)
-        lam[b] = 1.0
-        lbar = J.T @ lam
-        rhs = (np.einsum("i,jk->ijk", lam, gm) + np.einsum("j,ik->ijk", lam, gm)
-               - np.einsum("i,jk->ijk", lbar, Jlow) - np.einsum("j,ik->ijk", lbar, Jlow))
-        cols.append(rhs.ravel())
-    M = np.stack(cols, axis=1)
+    # design matrix: residual is linear in lambda, one column per basis covector
+    M = first_order_rhs(np.eye(d), g["g"].const, g["J"]).reshape(d, -1).T
     lam, *_ = np.linalg.lstsq(M, da.ravel(), rcond=None)
     return lam
+
+
+# -- the two equations -------------------------------------------------------
+
+def first_order_rhs(lam, gm, J):
+    """Right-hand side of the first-order system,
+
+        lambda_i g_jk + lambda_j g_ik - lbar_i J_jk - lbar_j J_ik,
+
+    with lbar_i = J^a_i lambda_a and J_jk = g_ja J^a_k.  Leading axes of
+    ``lam`` are a batch; returns (..., i, j, k).
+    """
+    lbar = lam @ J
+    Jlow = gm @ J
+    return (np.einsum("...i,jk->...ijk", lam, gm) + np.einsum("...j,ik->...ijk", lam, gm)
+            - np.einsum("...i,jk->...ijk", lbar, Jlow)
+            - np.einsum("...j,ik->...ijk", lbar, Jlow))
+
+
+def curvature_condition(a, dlam, R, gm, J):
+    """Defect of the curvature compatibility condition
+
+        a_ia R^a_jkl + a_ja R^a_ikl
+          - Jproj[ dl_li g_jk + dl_lj g_ik - dl_ki g_jl - dl_kj g_il ]
+
+    with dl = nabla lambda and Jproj the J-pair projection on (i, j).  Leading
+    axes of ``a`` and ``dlam`` are a batch; returns (..., i, j, k, l).
+    """
+    lhs = (np.einsum("...ia,ajkl->...ijkl", a, R)
+           + np.einsum("...ja,aikl->...ijkl", a, R))
+    # the bracket, laid out (k, l, i, j) so that the projection acts on its last pair
+    T = (np.einsum("...li,jk->...klij", dlam, gm) + np.einsum("...lj,ik->...klij", dlam, gm)
+         - np.einsum("...ki,jl->...klij", dlam, gm) - np.einsum("...kj,il->...klij", dlam, gm))
+    return lhs - np.moveaxis(jtensor_contract(T, J), (-2, -1), (-4, -3))
 
 
 # -- residuals ---------------------------------------------------------------
@@ -358,13 +377,7 @@ def hpr_residual(model, sol, point):
     """
     g = geom(model, point, 1)
     da = cov_step_jet(sol.a_jet(point, 1), ("l", "l"), g["gamma"]).const
-    lam = sol.lam_jet(point, 0).const
-    gm, J = g["g"].const, g["J"]
-    lbar = J.T @ lam
-    Jlow = gm @ J
-    rhs = (np.einsum("i,jk->ijk", lam, gm) + np.einsum("j,ik->ijk", lam, gm)
-           - np.einsum("i,jk->ijk", lbar, Jlow) - np.einsum("j,ik->ijk", lbar, Jlow))
-    return da - rhs
+    return da - first_order_rhs(sol.lam_jet(point, 0).const, g["g"].const, g["J"])
 
 
 def killing_residual(model, v_fn, point):
@@ -392,20 +405,14 @@ def integrability_residual(model, sol, point, use_mu=False):
     prolonged system (mu g + B a) when ``use_mu`` is set.
     """
     g = geom(model, point, 2)
-    gm, J = g["g"].const, g["J"]
+    gm = g["g"].const
     a = sol.a_jet(point, 0).const
     if use_mu:
         dlam = sol.mu_at(point) * gm + sol.B * a
     else:
         dlam = cov_step_jet(sol.lam_jet(point, 1), ("l",), g["gamma"]).const
-    from .geometry import MetricJet, riemann
-    mj = MetricJet.from_jet(point.coords, g["g"])
-    R = riemann(mj)
-    lhs = np.einsum("ia,ajkl->ijkl", a, R) + np.einsum("ja,aikl->ijkl", a, R)
-    T = (np.einsum("li,jk->ijkl", dlam, gm) + np.einsum("lj,ik->ijkl", dlam, gm)
-         - np.einsum("ki,jl->ijkl", dlam, gm) - np.einsum("kj,il->ijkl", dlam, gm))
-    rhs = T + np.einsum("ai,bj,abkl->ijkl", J, J, T)
-    return lhs - rhs
+    R = riemann(MetricJet.from_jet(point.coords, g["g"]))
+    return curvature_condition(a, dlam, R, gm, g["J"])
 
 
 def c_identity_check(model, sol_a, sol_b, point, warn=None):

@@ -423,13 +423,6 @@ def jet_einsum(subscripts, a, b):
     return np.einsum(subscripts, a, b)
 
 
-def contract(subscripts, a, b):
-    """einsum that dispatches on operand type (floats or jets)."""
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        return jet_einsum(subscripts, a, b)
-    return np.einsum(subscripts, a, b)
-
-
 def jet_matmul(a, b):
     return jet_einsum("...ij,...jk->...ik", a, b)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, OutOfDomainError,
                      UnsupportedDimensionError, UnsupportedModelError)
-from .geometry import ComplexStructureJet, MetricJet, verify_kahler
+from .geometry import MetricJet, verify_kahler
 from .jets import CNum, Jet, jet_eval
 
 
@@ -190,9 +190,6 @@ class KahlerModel:
     # -- jets ------------------------------------------------------------
     def metric_jet(self, point: ChartPoint, order=3) -> MetricJet:
         return MetricJet.from_function(self.metric_fn(point.chart), list(point.coords), order)
-
-    def complex_structure_jet(self, point: ChartPoint) -> ComplexStructureJet:
-        return ComplexStructureJet.constant(point.coords, self.j_matrix(point.chart))
 
     def metric_at(self, point: ChartPoint) -> np.ndarray:
         return np.array(self.metric_fn(point.chart)(list(point.coords)), dtype=float)

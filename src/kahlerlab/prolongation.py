@@ -21,9 +21,10 @@ import numpy as np
 from .errors import (DegenerateMetricError, InsufficientJetError,
                      InvalidInputError, OutOfDomainError,
                      ProportionalSolutionError)
-from .geometry import MetricJet, christoffels, cov_step_jet, riemann
-from .hproj import (SolutionField, geom, hermitian_symmetric_basis,
-                    hpr_residual)
+from .geometry import (MetricJet, christoffels, cov_derivatives, cov_step_jet,
+                       riemann)
+from .hproj import (SolutionField, curvature_condition, first_order_rhs, geom,
+                    hermitian_symmetric_basis, hpr_residual)
 from .jets import Jet, jet_einsum, jet_eval, jet_space
 from .tensors import hermitize
 
@@ -149,14 +150,6 @@ def constant_curvature_tensor(gm, J):
                    + 2.0 * np.einsum("aj,kl->ajkl", J, Jlow))
 
 
-def _jproj_T(m, gm, J):
-    """T_ijkl = m_li g_jk + m_lj g_ik - m_ki g_jl - m_kj g_il, then the
-    J-invariant doubling T + J*J*T."""
-    T = (np.einsum("li,jk->ijkl", m, gm) + np.einsum("lj,ik->ijkl", m, gm)
-         - np.einsum("ki,jl->ijkl", m, gm) - np.einsum("kj,il->ijkl", m, gm))
-    return T + np.einsum("ai,bj,abkl->ijkl", J, J, T)
-
-
 def curvature_B_condition(model, B, sol_or_a, point):
     """Residual of the curvature compatibility condition
 
@@ -165,12 +158,10 @@ def curvature_B_condition(model, B, sol_or_a, point):
     Zero for every hermitian a exactly when R + 4BK vanishes.
     """
     g = geom(model, point, 2)
-    gm, J = g["g"].const, g["J"]
     a = sol_or_a.a_jet(point, 0).const if isinstance(sol_or_a, SolutionField) \
         else np.asarray(sol_or_a, dtype=float)
     R = riemann(MetricJet.from_jet(point.coords, g["g"]))
-    lhs = np.einsum("ia,ajkl->ijkl", a, R) + np.einsum("ja,aikl->ijkl", a, R)
-    return lhs - B * _jproj_T(a, gm, J)
+    return curvature_condition(a, B * a, R, g["g"].const, g["J"])
 
 
 # -- paths and transport -------------------------------------------------------
@@ -282,6 +273,20 @@ def _geo_floats_batch(model, chart, X):
     return g, gamma
 
 
+def rk4_step(f, y, h):
+    """One classical RK4 step of y' = f(c, y) for a tuple of arrays y.
+
+    ``c`` is the stage's offset within the step as a fraction of h: 0, 1/2
+    or 1.
+    """
+    k1 = f(0.0, y)
+    k2 = f(0.5, tuple(u + h / 2 * k for u, k in zip(y, k1)))
+    k3 = f(0.5, tuple(u + h / 2 * k for u, k in zip(y, k2)))
+    k4 = f(1.0, tuple(u + h * k for u, k in zip(y, k3)))
+    return tuple(u + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                 for u, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+
+
 def _rhs(gm, J, gamma, xdot, B, a, lam, mu):
     gx = gm @ xdot
     Jx = (gm @ J) @ xdot
@@ -321,18 +326,13 @@ def _transport_batch(model, B, segments, a, lam, mu, step, project=True,
             raise OutOfDomainError(
                 f"transport left chart {seg.chart}", last_sample=(X[-1], a, lam, mu))
         G, GAM = _geo_floats_batch(model, seg.chart, X)
+
+        def f(c, y):
+            i = 2 * s + int(2 * c)      # stage c of step s sits at t = (s + c) h
+            return _rhs(G[i], J, GAM[i], XD[i], B, *y)
+
         for s in range(nsteps):
-            i0, i1, i2 = 2 * s, 2 * s + 1, 2 * s + 2
-            k1 = _rhs(G[i0], J, GAM[i0], XD[i0], B, a, lam, mu)
-            k2 = _rhs(G[i1], J, GAM[i1], XD[i1], B,
-                      a + h / 2 * k1[0], lam + h / 2 * k1[1], mu + h / 2 * k1[2])
-            k3 = _rhs(G[i1], J, GAM[i1], XD[i1], B,
-                      a + h / 2 * k2[0], lam + h / 2 * k2[1], mu + h / 2 * k2[2])
-            k4 = _rhs(G[i2], J, GAM[i2], XD[i2], B,
-                      a + h * k3[0], lam + h * k3[1], mu + h * k3[2])
-            a = a + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            lam = lam + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            mu = mu + h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+            a, lam, mu = rk4_step(f, (a, lam, mu), h)
             if project:
                 proj = hermitize(a, J)
                 if drift is not None:
@@ -526,14 +526,8 @@ class MobilityReport:
 
 
 def _int_cond_rows(gm, J, R, B, a_stack):
-    lhs = (np.einsum("nia,ajkl->nijkl", a_stack, R)
-           + np.einsum("nja,aikl->nijkl", a_stack, R))
-    T = (np.einsum("nli,jk->nijkl", a_stack, gm)
-         + np.einsum("nlj,ik->nijkl", a_stack, gm)
-         - np.einsum("nki,jl->nijkl", a_stack, gm)
-         - np.einsum("nkj,il->nijkl", a_stack, gm))
-    rhs = B * (T + np.einsum("ai,bj,nabkl->nijkl", J, J, T))
-    res = lhs - rhs
+    """The curvature condition at nabla lambda = B a, one column per state."""
+    res = curvature_condition(a_stack, B * a_stack, R, gm, J)
     return res.reshape(res.shape[0], -1).T
 
 
@@ -735,14 +729,8 @@ def scalar_third_cov(model, f_fn, point):
     if g["g"].space.order < 3:
         raise InsufficientJetError("third covariant derivative needs order-3 jets")
     f_jet = jet_eval(f_fn, list(point.coords), 3)
-    cur = f_jet
-    out = [float(f_jet.const)]
-    var = ()
-    for _ in range(3):
-        cur = cov_step_jet(cur, var, g["gamma"])
-        var = var + ("l",)
-        out.append(cur.const)
-    return tuple(out)
+    return (float(f_jet.const),) + tuple(
+        j.const for j in cov_derivatives(f_jet, (), g["gamma"], 3))
 
 
 def tanno_residual(model, f_fn, kappa, point):
@@ -752,15 +740,9 @@ def tanno_residual(model, f_fn, kappa, point):
                         - fbar_,i J_jk - fbar_,j J_ik)
     """
     g = geom(model, point, 3)
-    gm, J = g["g"].const, g["J"]
+    gm = g["g"].const
     _, df, _, d3f = scalar_third_cov(model, f_fn, point)
-    fbar = J.T @ df
-    Jlow = gm @ J
-    rhs = kappa * (2.0 * np.einsum("k,ij->ijk", df, gm)
-                   + np.einsum("i,jk->ijk", df, gm)
-                   + np.einsum("j,ik->ijk", df, gm)
-                   - np.einsum("i,jk->ijk", fbar, Jlow)
-                   - np.einsum("j,ik->ijk", fbar, Jlow))
+    rhs = kappa * (2.0 * np.einsum("k,ij->ijk", df, gm) + first_order_rhs(df, gm, g["J"]))
     return d3f - rhs
 
 
@@ -796,10 +778,6 @@ class TannoSolution(SolutionField):
         return self._f_jet(point, order) * (2.0 * self.kappa)
 
 
-def tanno_to_extended(model, f_fn, kappa):
-    return TannoSolution(model, f_fn, kappa)
-
-
 def laplace_identity_residual(model, sol, point, B=None):
     """Residual of the contracted third-order identity
 
@@ -812,17 +790,9 @@ def laplace_identity_residual(model, sol, point, B=None):
     if B is None:
         raise InvalidInputError("laplace identity needs B")
     g = geom(model, point, 3)
-    ginv = g["ginv"].const
-    lam_sc_jet = sol.lambda_scalar_jet(point, 3)
-    cur = lam_sc_jet
-    var = ()
-    derivs = []
-    for _ in range(3):
-        cur = cov_step_jet(cur, var, g["gamma"])
-        var = var + ("l",)
-        derivs.append(cur.const)
-    df, _, d3f = derivs
-    lhs = np.einsum("ij,ijk->k", ginv, d3f)
+    df, _, d3f = (j.const for j in cov_derivatives(
+        sol.lambda_scalar_jet(point, 3), (), g["gamma"], 3))
+    lhs = np.einsum("ij,ijk->k", g["ginv"].const, d3f)
     return lhs - 4.0 * B * (model.n + 1) * df
 
 

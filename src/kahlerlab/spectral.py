@@ -381,7 +381,7 @@ class EigenstructureReport:
     case: str                    # "interior", "mu_one", "mu_zero"
     eigenvalues: list            # (value, multiplicity)
     k: int                       # half-dimension of the 1-eigenspace
-    lambda_angle: float          # principal angle of span{lam, lbar} vs (1-mu)-eigenspace
+    lambda_angle: float          # sine of the angle of span{lam, lbar} vs (1-mu)-eigenspace
     residual: float              # worst eigenvalue-cluster spread
 
     def to_dict(self):
@@ -436,15 +436,16 @@ def eigenstructure_report(model, proj_sol, point, tol=1e-6):
         lbar_up = ginv @ (J.T @ lam)
         span = np.stack([lam_up, lbar_up], axis=1)
         qs, _ = np.linalg.qr(span)
-        # (1-mu)-eigenspace of aup
-        w, v = np.linalg.eig(aup)
-        idx = [i for i in range(len(w)) if abs(w[i].real - (1.0 - mu)) < 1e-5]
-        if len(idx) != 2:
+        count = int(np.sum(np.abs(eigs.real - (1.0 - mu)) < 1e-5))
+        if count != 2:
             raise ProjectorConsistencyError(
-                f"(1-mu)-eigenspace has dimension {len(idx)}, expected 2")
-        qe, _ = np.linalg.qr(v[:, idx].real)
-        sv = np.linalg.svd(qs.T @ qe, compute_uv=False)
-        angle = float(np.arccos(np.clip(sv.min(), -1.0, 1.0)))
+                f"(1-mu)-eigenspace has dimension {count}, expected 2")
+        # (1-mu)-eigenspace of aup: the null space of aup - (1-mu) I, as the
+        # last two right singular vectors (real even when eig pairs them up)
+        _, _, vt = np.linalg.svd(aup - (1.0 - mu) * np.eye(len(aup)))
+        qe = vt[-2:].T
+        # sine of the largest principal angle between the two planes
+        angle = float(np.linalg.norm(qs - qe @ (qe.T @ qs), 2))
     return EigenstructureReport(mu, case, table, k, angle, spread)
 
 

@@ -1,72 +1,28 @@
-"""Dense tensor values with variance metadata, and the pointwise algebraic
-operations on them (symmetrization/hermitization, J-invariant contraction).
+"""Pointwise algebraic operations on (0,2) tensors: the J-pair projection,
+hermitization, and the hermitian test.
 
-Index layout is row-major; the variance tuple records which slots are
-upper ('u') and which are lower ('l') and is checked when indices are
-raised or lowered.
+Components are plain arrays.  The (i, j) pair is the last two axes; any
+leading axes are a batch.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeMismatchError
-
-UP = "u"
-LOW = "l"
+from .errors import ShapeMismatchError
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    variance: tuple
-    components: np.ndarray
+def jtensor_contract(T, J):
+    """Contract a (0,2) tensor with the J-invariance projector (times two):
 
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "variance", tuple(self.variance))
-        if comps.ndim != len(self.variance):
-            raise ShapeMismatchError(
-                f"rank {comps.ndim} components with variance {self.variance}")
-        if any(v not in (UP, LOW) for v in self.variance):
-            raise InvalidInputError(f"variance markers must be 'u'/'l', got {self.variance}")
-        dims = set(comps.shape)
-        if len(dims) > 1:
-            raise ShapeMismatchError(f"all slots must share one dimension, got {comps.shape}")
+        T_ij + J^a_i J^b_j T_ab
 
-    @property
-    def rank(self):
-        return len(self.variance)
-
-    @property
-    def dim(self):
-        return self.components.shape[0] if self.rank else 0
-
-    def raise_index(self, slot, g_inv):
-        if self.variance[slot] != LOW:
-            raise InvalidInputError(f"slot {slot} is already upper")
-        comps = np.tensordot(g_inv, np.moveaxis(self.components, slot, 0), axes=(1, 0))
-        comps = np.moveaxis(comps, 0, slot)
-        var = self.variance[:slot] + (UP,) + self.variance[slot + 1:]
-        return TensorValue(var, comps)
-
-    def lower_index(self, slot, g):
-        if self.variance[slot] != UP:
-            raise InvalidInputError(f"slot {slot} is already lower")
-        comps = np.tensordot(g, np.moveaxis(self.components, slot, 0), axes=(1, 0))
-        comps = np.moveaxis(comps, 0, slot)
-        var = self.variance[:slot] + (LOW,) + self.variance[slot + 1:]
-        return TensorValue(var, comps)
-
-
-def _comps(T):
-    return T.components if isinstance(T, TensorValue) else np.asarray(T, dtype=float)
-
-
-def _wrap_like(T, comps, variance=("l", "l")):
-    if isinstance(T, TensorValue):
-        return TensorValue(variance, comps)
-    return comps
+    over the last two axes of T.  Hermitian (J-invariant) inputs come back
+    doubled, anti-invariant ones are annihilated.
+    """
+    t = np.asarray(T, dtype=float)
+    j = np.asarray(J, dtype=float)
+    if t.shape[-1] != j.shape[-1]:
+        raise ShapeMismatchError(f"jtensor_contract got shapes {t.shape} and {j.shape}")
+    return t + j.T @ t @ j
 
 
 def hermitize(T, J):
@@ -77,32 +33,14 @@ def hermitize(T, J):
     Idempotent; fixes tensors that are already symmetric hermitian and
     kills skew or anti-invariant parts.
     """
-    t = _comps(T)
-    j = _comps(J)
-    if t.shape[-1] != j.shape[-1] or t.shape[-2] != t.shape[-1]:
-        raise ShapeMismatchError(f"hermitize got shapes {t.shape} and {j.shape}")
-    s = t + np.swapaxes(t, -1, -2)
-    jsj = np.einsum("ai,...ab,bj->...ij", j, s, j)
-    return _wrap_like(T, 0.25 * (s + jsj))
-
-
-def jtensor_contract(T, J):
-    """Contract a (0,2) tensor with the J-invariance projector (times two):
-
-        T_ij + J^a_i J^b_j T_ab
-
-    Hermitian (J-invariant) inputs come back doubled, anti-invariant ones
-    are annihilated.
-    """
-    t = _comps(T)
-    j = _comps(J)
-    if t.shape[-1] != j.shape[-1]:
-        raise ShapeMismatchError(f"jtensor_contract got shapes {t.shape} and {j.shape}")
-    return _wrap_like(T, t + np.einsum("ai,bj,...ab->...ij", j, j, t))
+    t = np.asarray(T, dtype=float)
+    if t.shape[-1] != np.shape(J)[-1] or t.shape[-2] != t.shape[-1]:
+        raise ShapeMismatchError(f"hermitize got shapes {t.shape} and {np.shape(J)}")
+    return 0.25 * jtensor_contract(t + np.swapaxes(t, -1, -2), J)
 
 
 def is_hermitian(T, J, tol=1e-9):
     """True when J^a_i T_aj + T_ia J^a_j vanishes to tolerance."""
-    t, j = _comps(T), _comps(J)
+    t, j = np.asarray(T, dtype=float), np.asarray(J, dtype=float)
     res = np.einsum("ai,aj->ij", j, t) + np.einsum("ia,aj->ij", t, j)
     return float(np.max(np.abs(res))) <= tol

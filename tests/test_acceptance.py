@@ -24,8 +24,8 @@ from kahlerlab.prolongation import (MobilityConfig, ProlongedState,
                                     constant_curvature_tensor,
                                     degree_of_mobility, estimate_B,
                                     extended_residual, kernel_verification,
-                                    laplace_identity_residual, tanno_residual,
-                                    tanno_to_extended)
+                                    TannoSolution, laplace_identity_residual,
+                                    tanno_residual)
 from kahlerlab.spectral import (L_product, PolynomialSolution, build_L,
                                 eigenstructure_report, hessian_mu_check,
                                 make_projector, minimal_poly,
@@ -220,7 +220,7 @@ def test_criterion_08_tanno_equivalence(fs, pair):
                   for p in pts)
     worst_l = max(float(np.max(np.abs(laplace_identity_residual(fs, pair, p))))
                   for p in pts)
-    ext = tanno_to_extended(fs, f_fn, B_FS)
+    ext = TannoSolution(fs, f_fn, B_FS)
     gm0 = fs.metric_at(pts[0])
     worst_rt = 0.0
     for p in pts[:5]:

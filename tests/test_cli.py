@@ -175,3 +175,56 @@ def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
     cfg.write_text(json.dumps(cfg_values))
     assert _run(["verify-kahler", "--model", "flat", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-kahler", "--model", "flat", "--n", "1"],
+    ["verify-kahler", "--model", "flat", "--n", "2", "--diag", "1", "0"],
+    ["mobility", "--model", "fs", "--n", "1", "--B", "-0.25"],
+])
+def test_invalid_input_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "rep.json"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["torus", "two_tori"])
+def test_hplanar_rejects_models_without_lines(tmp_path, capsys, monkeypatch, model):
+    from kahlerlab import curves
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("hplanar integrated curves on a model it cannot check")
+
+    monkeypatch.setattr(curves, "integrate_hplanar_batch", integrate)
+    if model == "torus":
+        model_args = ["--model", "torus", "--n", "2"]
+    else:
+        cfg = tmp_path / "tori2.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "product", "n": 4,
+                      "factors": [{"kind": "torus", "n": 2, "periods": 1.0},
+                                  {"kind": "torus", "n": 2, "periods": 1.0}]}}))
+        model_args = ["--config", str(cfg)]
+    out = tmp_path / "rep.json"
+    assert _run(["hplanar"] + model_args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "no line notion" in err
+
+
+def test_spectral_eigenspace_angle_at_complex_eigenvector_seed(tmp_path, capsys):
+    # np.linalg.eig returns a complex-conjugate eigenvector pair for the
+    # double eigenvalue 1 - mu at this seed's interior point
+    a_file = tmp_path / "A.json"
+    a_file.write_text(json.dumps([[[d if i == j else 0.0, 0.0] for j in range(4)]
+                                  for i, d in enumerate([2.0, 1.0, 1.0, 0.5])]))
+    out = tmp_path / "rep.json"
+    code = _run(["spectral", "--n", "3", "--A-file", str(a_file), "--seed", "63704871",
+                 "--out", str(out)])
+    assert code == 0
+    angle = next(c for c in json.loads(out.read_text())["checks"]
+                 if c["name"] == "lambda_eigenspace_angle")
+    assert angle["pass"]
+    capsys.readouterr()

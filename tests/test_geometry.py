@@ -166,6 +166,6 @@ def test_metric_jet_invariants(fs2, rng):
         assert np.allclose(mj.d3g, np.einsum(f"{perm}->ijklm", mj.d3g))
     assert mj.order == 3
     mj.check_nondegenerate()
-    cj = fs2.complex_structure_jet(fs2.point(np.zeros(4)))
-    assert cj.square_residual() < 1e-14
-    assert np.max(np.abs(cj.dJ)) == 0.0
+    jjet = jet_eval(fs2.j_fn(), [0.0] * 4, 1)
+    assert np.max(np.abs(jjet.const @ jjet.const + np.eye(4))) < 1e-14
+    assert np.max(np.abs(jjet.derivatives(1))) == 0.0

@@ -7,15 +7,14 @@ from kahlerlab.geometry import MetricJet, riemann
 from kahlerlab.hproj import ExplicitSolution, TrivialSolution, geom
 from kahlerlab.jets import Jet, jet_space
 from kahlerlab.prolongation import (MobilityConfig, ProlongedState,
-                                    constant_curvature_tensor,
+                                    TannoSolution, constant_curvature_tensor,
                                     curvature_B_condition, degree_of_mobility,
                                     estimate_B, extended_residual, fiber_basis,
                                     fourier_loop, frobenius_complete,
                                     kernel_verification, lattice_loops,
                                     laplace_identity_residual, line_path,
                                     rectangle_loop, signature, tanno_residual,
-                                    tanno_to_extended, transport,
-                                    transport_states)
+                                    transport, transport_states)
 
 
 def test_extended_residual_trivial_solution(fs2, rng):
@@ -314,12 +313,12 @@ def test_tanno_residual_cases(fs2, flat2, pair_sol, rng):
     assert np.max(np.abs(tanno_residual(flat2, quad, 0.0, pf))) < 1e-14
 
 
-def test_tanno_to_extended_validation_and_const(fs2, rng):
+def test_tanno_solution_validation_and_const(fs2, rng):
     with pytest.raises(InvalidInputError):
-        tanno_to_extended(fs2, lambda xs: 1.0, 0.0)
+        TannoSolution(fs2, lambda xs: 1.0, 0.0)
     kappa = -0.25
     c = 0.8
-    sol = tanno_to_extended(fs2, lambda xs: c, kappa)
+    sol = TannoSolution(fs2, lambda xs: c, kappa)
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
     # a = -2 c g, lambda = 0, mu = 2 kappa c
     assert np.max(np.abs(sol.a_jet(p, 0).const + 2 * c * fs2.metric_at(p))) < 1e-12

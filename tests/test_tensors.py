@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kahlerlab.errors import InvalidInputError, ShapeMismatchError
+from kahlerlab.errors import ShapeMismatchError
 from kahlerlab.models import standard_J
-from kahlerlab.tensors import TensorValue, hermitize, is_hermitian, jtensor_contract
+from kahlerlab.tensors import hermitize, is_hermitian, jtensor_contract
 
 
 def _hermitize_oracle(T, J):
@@ -23,34 +23,19 @@ def _hermitize_oracle(T, J):
     return out
 
 
-def _random_spd(rng, d):
-    m = rng.normal(size=(d, d))
-    return m @ m.T + d * np.eye(d)
+def _conjugated_J(rng, n):
+    """A complex structure that is not a signed permutation, so that the
+    index placement of J (J versus its transpose) matters."""
+    P = rng.normal(size=(2 * n, 2 * n)) + 2 * n * np.eye(2 * n)
+    return P @ standard_J(n) @ np.linalg.inv(P)
 
 
-def test_tensor_value_validation(rng):
-    with pytest.raises(ShapeMismatchError):
-        TensorValue(("l",), np.zeros((4, 4)))
-    with pytest.raises(InvalidInputError):
-        TensorValue(("x", "l"), np.zeros((4, 4)))
-    with pytest.raises(ShapeMismatchError):
-        TensorValue(("l", "l"), np.zeros((4, 3)))
-    t = TensorValue(("l", "l"), rng.normal(size=(4, 4)))
-    assert t.rank == 2 and t.dim == 4
-    assert t.components.size == 4 ** t.rank
-
-
-def test_raise_lower_round_trip(rng):
-    g = _random_spd(rng, 4)
-    g_inv = np.linalg.inv(g)
-    for _ in range(5):
-        t = TensorValue(("l", "l", "l"), rng.normal(size=(4, 4, 4)))
-        up = t.raise_index(1, g_inv)
-        back = up.lower_index(1, g)
-        assert np.max(np.abs(back.components - t.components)) < 1e-12
-        assert up.variance == ("l", "u", "l")
-    with pytest.raises(InvalidInputError):
-        t.raise_index(0, g_inv).raise_index(0, g_inv)
+def _jcontract_oracle(T, J):
+    """Direct loop evaluation of T_ij + J^a_i J^b_j T_ab."""
+    d = T.shape[0]
+    return np.array([[T[i, j] + sum(J[a, i] * J[b, j] * T[a, b]
+                                    for a in range(d) for b in range(d))
+                      for j in range(d)] for i in range(d)])
 
 
 def test_hermitize_fixed_point_and_kernel(rng):
@@ -71,6 +56,13 @@ def test_hermitize_against_loop_oracle(rng):
         # output is symmetric and anticommutes with J
         assert np.allclose(got, got.T)
         assert is_hermitian(got, J, tol=1e-12)
+    # a stack of tensors is projected slice by slice
+    J = _conjugated_J(rng, 2)
+    stack = rng.normal(size=(7, 4, 4))
+    got = hermitize(stack, J)
+    assert got.shape == stack.shape
+    for T, h in zip(stack, got):
+        assert np.allclose(h, _hermitize_oracle(T, J), atol=1e-13)
 
 
 def test_hermitize_idempotent_property(rng):
@@ -91,16 +83,18 @@ def test_jtensor_contract(rng):
     g = np.eye(4)
     assert np.allclose(jtensor_contract(g, J), 2 * g)
     omega = g @ J  # fundamental two-form, J-invariant
-    # oracle: direct loop evaluation
-    d = 4
-    oracle = np.array([[omega[i, j] + sum(J[a, i] * J[b, j] * omega[a, b]
-                                          for a in range(d) for b in range(d))
-                        for j in range(d)] for i in range(d)])
-    assert np.allclose(jtensor_contract(omega, J), oracle)
+    assert np.allclose(jtensor_contract(omega, J), _jcontract_oracle(omega, J))
     assert np.allclose(jtensor_contract(omega, J), 2 * omega, atol=1e-13)
     # anti-invariant part is annihilated
     T = rng.normal(size=(4, 4))
     anti = 0.5 * (T - np.einsum("ai,bj,ab->ij", J, J, T))
     assert np.max(np.abs(jtensor_contract(anti, J))) < 1e-13
+    # a stack of tensors is contracted slice by slice
+    Jc = _conjugated_J(rng, 2)
+    stack = rng.normal(size=(5, 4, 4))
+    got = jtensor_contract(stack, Jc)
+    assert got.shape == stack.shape
+    for T, c in zip(stack, got):
+        assert np.allclose(c, _jcontract_oracle(T, Jc), atol=1e-12)
     with pytest.raises(ShapeMismatchError):
         jtensor_contract(np.zeros((4, 4)), standard_J(3))
