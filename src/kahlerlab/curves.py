@@ -185,18 +185,25 @@ def _wedge_defect(accel, v, J):
     return float(np.linalg.svd(cols, compute_uv=False)[-1])
 
 
+# Samples per geometry call along a curve: bounds the (terms, points, d, d)
+# jet temporaries of a whole-curve call, and so the peak memory.
+_GEOMETRY_BLOCK = 128
+
+
 def _geometry_along(model, curve, idxs):
-    """Metric and connection at selected samples, batched chart by chart:
-    two lists aligned with ``idxs``."""
+    """Metric and connection at selected samples, batched chart by chart in
+    blocks of ``_GEOMETRY_BLOCK`` samples: two lists aligned with ``idxs``."""
     gms, gammas = [None] * len(idxs), [None] * len(idxs)
     by_chart = {}
     for pos, idx in enumerate(idxs):
         by_chart.setdefault(curve.points[idx].chart, []).append((pos, idx))
     for chart, items in by_chart.items():
-        X = np.stack([curve.points[idx].coords for _, idx in items])
-        G, GAM = _geo_floats_batch(model, chart, X)
-        for (pos, _), gm, gam in zip(items, G, GAM):
-            gms[pos], gammas[pos] = gm, gam
+        for lo in range(0, len(items), _GEOMETRY_BLOCK):
+            block = items[lo:lo + _GEOMETRY_BLOCK]
+            X = np.stack([curve.points[idx].coords for _, idx in block])
+            G, GAM = _geo_floats_batch(model, chart, X)
+            for (pos, _), gm, gam in zip(block, G, GAM):
+                gms[pos], gammas[pos] = gm, gam
     return gms, gammas
 
 

@@ -12,9 +12,11 @@ operations broadcast over the payload.  Derivatives are read off the
 coefficients exactly; the finite-difference functions at the bottom of the
 module exist only as an independent cross-check of this backend.
 
-Model metric functions are written against plain scalar arithmetic
-(``+ - * /`` and ``**``), so the same code runs on floats, on numpy arrays
-(batched evaluation) and on Jets (derivative evaluation).
+Chart transitions and solution fields are written against plain scalar
+arithmetic (``+ - * /`` and ``**``), so the same code runs on floats, on
+numpy arrays (batched evaluation) and on Jets (derivative evaluation).
+Model metric functions take the same scalar lists and return one tensor
+(an array, or a Jet with a (..., d, d) payload).
 """
 
 import itertools

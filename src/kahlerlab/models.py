@@ -2,16 +2,21 @@
 
 All models use real chart coordinates (x_1, y_1, ..., x_n, y_n) with
 z_k = x_k + i*y_k and the standard complex structure acting blockwise as
-the 2x2 rotation.  The projective-space metric in an affine chart is
+the 2x2 rotation.  The projective-space metric and its linear pullbacks
+g_A come from one formula on homogeneous coordinates: the Kähler potential
+log|A hom(z)|^2, realified, gives
 
-    g = 4 * Re( h ),   h_ij = (delta_ij * s - conj(z_i) z_j) / s^2,
-    s = 1 + |z|^2,
+    g = (4 / s^2) (s P^T P - (U U^T + J^T U U^T J)),
+    W = P x + w0,   s = |W|^2,   U = P^T W,
 
-where the factor 4 pins the holomorphic sectional curvature to 1 (the
-convention every curvature check in the package is calibrated against).
-Linear pullbacks g_A are computed through homogeneous coordinates with
-renormalization into whichever affine chart keeps the image farthest from
-the coordinate hyperplane.
+where P is the realified A[:, cols] (the columns of the chart's affine
+coordinates), w0 the realified column of the chart's unit slot, and A = I
+for the projective metric itself.  The factor 4 pins the holomorphic
+sectional curvature to 1 (the convention every curvature check in the
+package is calibrated against).  A metric function takes the list of d
+chart coordinates (floats, or scalar jets of one jet space) and returns one
+array, or one Jet with payload (..., d, d); a constant metric returns its
+stored read-only array.
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,8 @@ import numpy as np
 from .errors import (InvalidInputError, OutOfDomainError,
                      UnsupportedDimensionError, UnsupportedModelError)
 from .geometry import MetricJet, verify_kahler
-from .jets import CNum, Jet, jet_eval
+from .jets import CNum, Jet, jet_eval, jet_space
+from .tensors import jtensor_contract
 
 
 @dataclass(frozen=True)
@@ -71,42 +77,6 @@ def _mag(x):
     return abs(float(np.asarray(v).flat[0])) if np.ndim(v) else abs(float(v))
 
 
-def hermitian_to_real(h, scale=1.0):
-    """Realify a hermitian matrix of CNum entries into a (2n, 2n) metric block."""
-    n = len(h)
-    g = [[None] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            re, im = h[i][j].re * scale, h[i][j].im * scale
-            g[2 * i][2 * j] = re
-            g[2 * i + 1][2 * j + 1] = re
-            g[2 * i][2 * j + 1] = im
-            g[2 * i + 1][2 * j] = -1.0 * im
-    return g
-
-
-def _fs_hermitian(z):
-    """Affine-chart projective metric, hermitian part (before the factor 4)."""
-    n = len(z)
-    s = 1.0
-    for zk in z:
-        s = s + zk.abs2()
-    inv_s2 = 1.0 / (s * s)
-    diag = CNum(s, 0.0)
-    zero = CNum(0.0, 0.0)
-    h = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            num = (diag if i == j else zero) - z[i].conj() * z[j]
-            h[i][j] = num * inv_s2
-    return h
-
-
-def _flat_hermitian(z, diag):
-    n = len(z)
-    return [[CNum(diag[i] if i == j else 0.0, 0.0) for j in range(n)] for i in range(n)]
-
-
 class KahlerModel:
     """A model manifold: named charts, a metric function per chart with exact
     jets, a constant complex structure per chart, and transition maps.
@@ -116,7 +86,7 @@ class KahlerModel:
 
     def __init__(self, kind, n, charts, default_chart, metric_fns, j_mats,
                  transitions=None, periods=None, factors=None, weights=None,
-                 sample_halfwidth=0.9, params=None, constant_metric=False):
+                 sample_halfwidth=0.9, params=None):
         self.kind = kind
         self.n = n
         self.dim = 2 * n
@@ -130,7 +100,6 @@ class KahlerModel:
         self.weights = weights
         self.sample_halfwidth = sample_halfwidth
         self.params = params or {}
-        self.constant_metric = constant_metric
 
     # -- chart plumbing ------------------------------------------------
     def chart(self, name=None):
@@ -229,13 +198,9 @@ def flat_model(n, diag=None):
         raise InvalidInputError("diag must give one nonzero weight per complex axis")
     lo, hi = _box(2 * n, 10.0)
     chart = Chart("c0", 2 * n, lo, hi)
-
-    def fn(xs, _diag=tuple(diag)):
-        return hermitian_to_real(_flat_hermitian(_to_cnums(xs), _diag))
-
-    return KahlerModel("flat", n, {"c0": chart}, "c0", {"c0": fn},
+    return KahlerModel("flat", n, {"c0": chart}, "c0", {"c0": _constant_metric_fn(diag)},
                        {"c0": standard_J(n)}, sample_halfwidth=1.0,
-                       params={"diag": diag}, constant_metric=True)
+                       params={"diag": diag})
 
 
 def _projective_charts(n, half=4.0):
@@ -275,40 +240,54 @@ def _projective_transition(n, src_k, dst_k):
     return fn
 
 
+def _constant_metric_fn(diag):
+    """Metric function of the constant metric with weight diag[k] on the k-th
+    complex axis: every call returns the same read-only array."""
+    g = np.diag(np.repeat(np.asarray(diag, dtype=float), 2))
+    g.flags.writeable = False
+    return lambda xs: g
+
+
+def _realify(a):
+    """The real (2m, 2k) matrix of a complex (m, k) matrix acting on
+    interleaved (re, im) coordinates."""
+    r = np.empty((2 * a.shape[0], 2 * a.shape[1]))
+    r[0::2, 0::2], r[0::2, 1::2] = a.real, -a.imag
+    r[1::2, 0::2], r[1::2, 1::2] = a.imag, a.real
+    return r
+
+
+def _coordinate_jet(xs):
+    """The d chart coordinates as one jet with payload (..., d); floats
+    become an order-0 jet."""
+    if isinstance(xs[0], Jet):
+        return Jet(xs[0].space, np.stack([x.coef for x in xs], axis=-1))
+    return Jet(jet_space(len(xs), 0), np.asarray(xs, dtype=float)[None])
+
+
 def _pullback_metric_fn(n, chart_index, A):
-    """Metric function of f_A^* (projective metric) in affine chart `chart_index`.
+    """Metric function of f_A^* (projective metric) in affine chart `chart_index`,
+    from the homogeneous formula of the module docstring.
 
     ``A`` is a complex (n+1)x(n+1) matrix or None for the identity map.
     """
+    A = np.eye(n + 1) if A is None else A
+    cols = [m for m in range(n + 1) if m != chart_index]
+    P = _realify(A[:, cols])
+    w0 = _realify(A[:, [chart_index]])[:, 0]
+    PtP = P.T @ P
+    J = standard_J(n)
 
     def fn(xs):
-        z = _to_cnums(xs)
-        if A is None:
-            return hermitian_to_real(_fs_hermitian(z), 4.0)
-        hom = _homogeneous(z, chart_index, n)
-        w = [sum((CNum(A[m, l].real, A[m, l].imag) * hom[l] for l in range(n + 1)),
-                 CNum(0.0, 0.0)) for m in range(n + 1)]
-        # land in the chart where the image is farthest from the hyperplane
-        t = max(range(n + 1), key=lambda m: _mag(w[m].abs2()))
-        piv = w[t]
-        u = [w[m] / piv for m in range(n + 1) if m != t]
-        # complex Jacobian du_m/dz_l of the chart map, rows skip slot t
-        hom_cols = [l for l in range(n + 1) if l != chart_index]
-        piv2 = piv * piv
-        rows = [m for m in range(n + 1) if m != t]
-        D = [[(CNum(A[m, lp].real, A[m, lp].imag) * piv
-               - w[m] * CNum(A[t, lp].real, A[t, lp].imag)) / piv2
-              for lp in hom_cols] for m in rows]
-        h = _fs_hermitian(u)
-        ha = [[None] * n for _ in range(n)]
-        for l in range(n):
-            for lp in range(n):
-                acc = CNum(0.0, 0.0)
-                for m in range(n):
-                    for mp in range(n):
-                        acc = acc + h[m][mp] * D[m][l] * D[mp][lp].conj()
-                ha[l][lp] = acc
-        return hermitian_to_real(ha, 4.0)
+        X = _coordinate_jet(xs)
+        sp = X.space
+        W = Jet(sp, X.coef @ P.T) + w0
+        U = Jet(sp, W.coef @ P)
+        r = Jet(sp, (W * W).coef.sum(axis=-1)).reciprocal()[..., None]
+        V = r * U                                   # U / s, so V V^T = U U^T / s^2
+        VV = Jet(sp, jtensor_contract((V[..., :, None] * V[..., None, :]).coef, J))
+        g = 4.0 * (r[..., None] * PtP - VV)
+        return g if isinstance(xs[0], Jet) else g.const
 
     return fn
 
@@ -367,16 +346,19 @@ def product_model(factors, weights=None):
     chart = Chart("c0", 2 * n, tuple(lo), tuple(hi))
 
     factor_fns = [f.metric_fn() for f in factors]
+    spans = list(zip(offsets[:-1], offsets[1:]))
 
     def fn(xs):
-        g = [[0.0] * (2 * n) for _ in range(2 * n)]
-        for fi, ffn in enumerate(factor_fns):
-            a, b = offsets[fi], offsets[fi + 1]
-            block = ffn(xs[a:b])
-            for i in range(b - a):
-                for j in range(b - a):
-                    g[a + i][a + j] = block[i][j] * weights[fi]
-        return g
+        """The factor blocks written into one coefficient array: a Jet if
+        any factor depends on the coordinates, else an array."""
+        parts = [w * ffn(xs[a:b]) for ffn, w, (a, b) in zip(factor_fns, weights, spans)]
+        space = next((p.space for p in parts if isinstance(p, Jet)), None)
+        coefs = [p.coef if isinstance(p, Jet) else np.asarray(p)[None] for p in parts]
+        lead = np.broadcast_shapes(*(c.shape[1:-2] for c in coefs))
+        out = np.zeros((1 if space is None else space.ncoef,) + lead + (2 * n, 2 * n))
+        for c, (a, b) in zip(coefs, spans):
+            out[:len(c), ..., a:b, a:b] = c
+        return out[0] if space is None else Jet(space, out)
 
     J = np.zeros((2 * n, 2 * n))
     for fi, f in enumerate(factors):
@@ -389,8 +371,7 @@ def product_model(factors, weights=None):
                        periods=periods, factors=list(factors), weights=weights,
                        sample_halfwidth=min(f.sample_halfwidth for f in factors),
                        params={"weights": weights,
-                               "factors": [f.descriptor() for f in factors]},
-                       constant_metric=all(f.constant_metric for f in factors))
+                               "factors": [f.descriptor() for f in factors]})
 
 
 def flat_torus(n, periods=1.0):
@@ -403,14 +384,10 @@ def flat_torus(n, periods=1.0):
         raise InvalidInputError("periods must be positive")
     half = periods / 2.0
     chart = Chart("c0", 2 * n, tuple(-half), tuple(half))
-
-    def fn(xs):
-        return hermitian_to_real(_flat_hermitian(_to_cnums(xs), [1.0] * n))
-
-    return KahlerModel("torus", n, {"c0": chart}, "c0", {"c0": fn},
+    return KahlerModel("torus", n, {"c0": chart}, "c0", {"c0": _constant_metric_fn([1.0] * n)},
                        {"c0": standard_J(n)}, periods=periods,
                        sample_halfwidth=float(np.min(half)) * 0.9,
-                       params={"periods": periods.tolist()}, constant_metric=True)
+                       params={"periods": periods.tolist()})
 
 
 def rescale_model(model, c):
@@ -418,19 +395,14 @@ def rescale_model(model, c):
     if c == 0.0:
         raise InvalidInputError("scale must be nonzero")
 
-    fns = {}
-    for name, base_fn in model._metric_fns.items():
-        def fn(xs, _f=base_fn):
-            g = _f(xs)
-            return [[entry * c for entry in row] for row in g]
-        fns[name] = fn
+    fns = {name: (lambda xs, _f=base_fn: c * _f(xs))
+           for name, base_fn in model._metric_fns.items()}
     scaled = KahlerModel(model.kind, model.n, model.charts, model.default_chart,
                          fns, model._j_mats, transitions=model._transitions,
                          periods=model.periods, factors=model.factors,
                          weights=model.weights,
                          sample_halfwidth=model.sample_halfwidth,
-                         params={**model.params, "scale": c},
-                         constant_metric=model.constant_metric)
+                         params={**model.params, "scale": c})
     return scaled
 
 

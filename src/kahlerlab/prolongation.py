@@ -229,44 +229,25 @@ def lattice_loops(model, base_point):
 
 
 def _geo_floats(model, chart, x):
-    """(g, Gamma) at a chart point, with a fast path for constant metrics."""
-    if model.constant_metric:
-        cache = getattr(model, "_const_geo", None)
-        if cache is None:
-            cache = {}
-            model._const_geo = cache
-        hit = cache.get(chart)
-        if hit is None:
-            gm = np.array(model.metric_fn(chart)(list(np.zeros(model.dim))), dtype=float)
-            hit = (gm, np.zeros((model.dim,) * 3))
-            cache[chart] = hit
-        return hit
-    gjet = jet_eval(model.metric_fn(chart), list(x), 1)
-    mj = MetricJet.from_jet(x, gjet)
+    """(g, Gamma) at one chart point, from an order-1 metric jet."""
+    mj = MetricJet.from_function(model.metric_fn(chart), list(x), 1)
     return mj.g, christoffels(mj)
 
 
 def _geo_floats_batch(model, chart, X):
     """(g, Gamma) stacked over a batch of chart points X of shape (B, d).
 
-    One batched jet evaluation replaces per-point calls; this is what keeps
-    long transports affordable on the curved models.
+    One metric evaluation on order-1 coordinate jets with payload (B,)
+    gives g and its partials for the whole batch; a constant metric comes
+    back as an array and has Gamma = 0.
     """
     B_, d = X.shape
-    if model.constant_metric:
-        gm, gamma = _geo_floats(model, chart, X[0])
-        return (np.broadcast_to(gm, (B_, d, d)),
-                np.broadcast_to(gamma, (B_, d, d, d)))
     space = jet_space(d, 1)
-    jets = [Jet.variable(space, X[:, i], i) for i in range(d)]
-    from .jets import jet_pack
-    packed = jet_pack(space, model.metric_fn(chart)(jets))  # (ncoef, d, d, B)
-    coef = packed.coef
-    g = np.moveaxis(coef[0], -1, 0)                          # (B, d, d)
-    # first-order coefficients are the plain partials
-    unit = [space.index[tuple(1 if i == k else 0 for i in range(d))] for k in range(d)]
-    dg = np.stack([coef[u] for u in unit], axis=0)           # (k, i, j, B)
-    dg = np.moveaxis(dg, (0, 3), (3, 0))                     # (B, i, j, k)
+    gjet = model.metric_fn(chart)([Jet.variable(space, X[:, i], i) for i in range(d)])
+    if not isinstance(gjet, Jet):
+        return (np.broadcast_to(gjet, (B_, d, d)),
+                np.broadcast_to(np.zeros((d, d, d)), (B_, d, d, d)))
+    g, dg = gjet.const, gjet.derivatives(1)                  # (B, i, j), (B, i, j, k)
     ginv = np.linalg.inv(g)
     lower = (np.einsum("bakj->bajk", dg) + dg - np.einsum("bjka->bajk", dg))
     gamma = 0.5 * np.einsum("bia,bajk->bijk", ginv, lower)

@@ -408,7 +408,7 @@ def eigenstructure_report(model, proj_sol, point, tol=1e-6):
     if mu < -tol or mu > 1.0 + tol:
         raise ProjectorConsistencyError(
             f"scalar component {mu:.6f} outside [0, 1]; not a projector solution")
-    aup = ginv @ a
+    aup = np.linalg.solve(gm, a)
     eigs = np.linalg.eigvals(aup)
     if np.max(np.abs(eigs.imag)) > 1e-7:
         raise ProjectorConsistencyError("complex eigenvalues in a projector solution")

@@ -1,0 +1,111 @@
+"""Test-only reference formulas, independent of the code under test.
+
+The metric references are the entry-by-entry complex formulas: the
+affine-chart projective metric
+
+    g = 4 Re(h),   h_ij = (delta_ij s - conj(z_i) z_j) / s^2,   s = 1 + |z|^2,
+
+and the pullback g_A = D^* h(u) D, where u is the image A hom(z) renormalized
+into the affine chart farthest from its coordinate hyperplane and D is the
+complex Jacobian of that chart map.  They run on CNum pairs of floats or
+jets and return nested lists, so ``jet_eval`` gives their exact jets.
+
+The connection reference is the closed-form complex Christoffel symbol of
+the projective metric, the same in every affine chart:
+
+    Gamma^i_jk = -(delta^i_j conj(z_k) + delta^i_k conj(z_j)) / (1 + |z|^2).
+"""
+
+import numpy as np
+
+from kahlerlab.jets import CNum, Jet
+
+
+def _to_cnums(xs):
+    return [CNum(xs[2 * k], xs[2 * k + 1]) for k in range(len(xs) // 2)]
+
+
+def _mag(x):
+    v = x.const if isinstance(x, Jet) else x
+    return abs(float(np.asarray(v).flat[0]))
+
+
+def _cnum(c):
+    return CNum(float(c.real), float(c.imag))
+
+
+def hermitian_to_real(h, scale=1.0):
+    """Realify a hermitian matrix of CNum entries into a (2n, 2n) metric block."""
+    n = len(h)
+    g = [[None] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            re, im = h[i][j].re * scale, h[i][j].im * scale
+            g[2 * i][2 * j] = re
+            g[2 * i + 1][2 * j + 1] = re
+            g[2 * i][2 * j + 1] = im
+            g[2 * i + 1][2 * j] = -1.0 * im
+    return g
+
+
+def fs_hermitian(z):
+    """Affine-chart projective metric, hermitian part (before the factor 4)."""
+    n = len(z)
+    s = 1.0
+    for zk in z:
+        s = s + zk.abs2()
+    inv_s2 = 1.0 / (s * s)
+    h = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            num = (CNum(s, 0.0) if i == j else CNum(0.0, 0.0)) - z[i].conj() * z[j]
+            h[i][j] = num * inv_s2
+    return h
+
+
+def pullback_metric_oracle(n, chart_index, A=None):
+    """Metric function of the pullback of the projective metric under the
+    linear map A (None: the projective metric) in affine chart chart_index."""
+
+    def fn(xs):
+        z = _to_cnums(xs)
+        if A is None:
+            return hermitian_to_real(fs_hermitian(z), 4.0)
+        it = iter(z)
+        hom = [CNum(1.0, 0.0) if m == chart_index else next(it) for m in range(n + 1)]
+        w = [sum((_cnum(A[m, l]) * hom[l] for l in range(n + 1)), CNum(0.0, 0.0))
+             for m in range(n + 1)]
+        t = max(range(n + 1), key=lambda m: _mag(w[m].abs2()))
+        piv = w[t]
+        rows = [m for m in range(n + 1) if m != t]
+        cols = [l for l in range(n + 1) if l != chart_index]
+        u = [w[m] / piv for m in rows]
+        # du_m/dz_l = (A_ml w_t - w_m A_tl) / w_t^2
+        piv2 = piv * piv
+        D = [[(_cnum(A[m, l]) * piv - w[m] * _cnum(A[t, l])) / piv2 for l in cols]
+             for m in rows]
+        h = fs_hermitian(u)
+        ha = [[sum((h[m][mp] * D[m][l] * D[mp][lp].conj()
+                    for m in range(n) for mp in range(n)), CNum(0.0, 0.0))
+               for lp in range(n)] for l in range(n)]
+        return hermitian_to_real(ha, 4.0)
+
+    return fn
+
+
+def fs_christoffel_oracle(x):
+    """Real Gamma[i, j, k] of the projective metric at affine coordinates x,
+    from the complex closed form: Gamma(u, v) is the complex bilinear form
+    applied to the complex vectors of u and v, read back as (re, im) pairs."""
+    z = np.asarray(x[0::2]) + 1j * np.asarray(x[1::2])
+    n = len(z)
+    eye = np.eye(n)
+    gc = -(np.einsum("ij,k->ijk", eye, z.conj()) + np.einsum("ik,j->ijk", eye, z.conj()))
+    gc /= 1.0 + np.vdot(z, z).real
+    basis = np.zeros((2 * n, n), dtype=complex)   # complex vector of each real axis
+    basis[0::2] = eye
+    basis[1::2] = 1j * eye
+    w = np.einsum("ijk,bj,ck->ibc", gc, basis, basis)
+    out = np.empty((2 * n, 2 * n, 2 * n))
+    out[0::2], out[1::2] = w.real, w.imag
+    return out

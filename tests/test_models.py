@@ -9,6 +9,7 @@ from kahlerlab.models import (Chart, ChartPoint, complex_matrix_from_pairs,
                               flat_model, flat_torus, fubini_study,
                               model_from_descriptor, product_model,
                               pullback_fs, rescale_model)
+from oracles import fs_christoffel_oracle, pullback_metric_oracle
 
 
 def test_chart_invariants():
@@ -188,3 +189,41 @@ def test_rechart_moves_to_smaller_coordinates(fs2):
     assert moved.chart != "c0"
     assert np.max(np.abs(moved.coords)) < 3.5
     assert vel is not None
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20)
+    cases = [(f"fs-n{n}", n, None) for n in (2, 3, 4)]
+    cases += [(f"random-n{n}", n, rng.normal(size=(n + 1, n + 1))
+               + 1j * rng.normal(size=(n + 1, n + 1))) for n in (2, 3, 4)]
+    cases.append(("diag211h-n3", 3, np.diag([2.0, 1.0, 1.0, 0.5]).astype(complex)))
+    return cases
+
+
+@pytest.mark.parametrize("name,n,A", _oracle_cases(), ids=[c[0] for c in _oracle_cases()])
+def test_metric_jets_match_cnum_oracle(name, n, A):
+    # the homogeneous formula against the entry-by-entry complex formulas
+    # with chart pivoting, coefficient by coefficient through order 3
+    model = fubini_study(n) if A is None else pullback_fs(A)
+    rng = np.random.default_rng(n)
+    for chart in ("c0", "c1"):
+        ref_fn = pullback_metric_oracle(n, int(chart[1:]), A)
+        for _ in range(2):
+            x = list(rng.uniform(-0.6, 0.6, 2 * n))
+            ref = jet_eval(ref_fn, x, 3).coef
+            new = model.metric_fn(chart)([x[k] for k in range(2 * n)])
+            assert np.max(np.abs(new - ref[0])) <= 1e-12 * np.max(np.abs(ref[0]))
+            new = jet_eval(model.metric_fn(chart), x, 3).coef
+            assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fs_connection_matches_closed_form(n):
+    from kahlerlab.prolongation import _geo_floats_batch
+    rng = np.random.default_rng(40 + n)
+    fs = fubini_study(n)
+    X = rng.uniform(-0.8, 0.8, size=(11, 2 * n))
+    for chart in ("c0", "c1"):
+        _, GAM = _geo_floats_batch(fs, chart, X)
+        for b in range(len(X)):
+            assert np.max(np.abs(GAM[b] - fs_christoffel_oracle(X[b]))) < 1e-12

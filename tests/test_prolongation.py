@@ -356,3 +356,54 @@ def test_prolonged_state_pack_roundtrip(rng):
     assert np.allclose(back.a, st.a)
     assert np.allclose(back.lam, st.lam)
     assert back.mu == st.mu
+
+
+def _fs_products():
+    from kahlerlab.models import flat_model, fubini_study, product_model
+    return {"fs_x_flat": product_model([fubini_study(2), flat_model(2)]),
+            "fs_x_fs": product_model([fubini_study(2), fubini_study(2)])}
+
+
+@pytest.mark.parametrize("name", ["fs_x_flat", "fs_x_fs"])
+def test_mobility_product_with_curved_factor(name):
+    # (a, lambda, mu) = (g, 0, -B) solves the prolonged system on every
+    # model (g is parallel), so it must lie in the returned kernel; at
+    # B != 0 a product has no other solution
+    model = _fs_products()[name]
+    B = -0.25
+    base = model.point(np.zeros(8))
+    cfg = MobilityConfig(step=5e-3, loop_side=0.2, n_random_loops=1,
+                         n_transport_points=2, max_plane_loops=6)
+    report = degree_of_mobility(model, B, base, cfg)
+    assert report.dimension == 1
+    K = np.stack([s.pack() for s in report.basis])
+    v = ProlongedState(model.metric_at(base), np.zeros(8), -B).pack()
+    coef, *_ = np.linalg.lstsq(K.T, v, rcond=None)
+    assert np.linalg.norm(K.T @ coef - v) < 1e-10 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("name", ["fs_x_flat", "fs_x_fs"])
+def test_transport_product_with_curved_factor(name):
+    # the metric solution is parallel, so it comes back around every loop;
+    # the planes mix the two factors and lie inside the curved one
+    model = _fs_products()[name]
+    B = -0.25
+    center = np.array([0.1, -0.05, 0.2, 0.0, 0.1, 0.05, -0.1, 0.15])
+    st = ProlongedState(model.metric_at(model.point(center)), np.zeros(8), -B)
+    for i, j in ((0, 2), (1, 5), (4, 7)):
+        out = transport(model, B, rectangle_loop("c0", center, i, j, 0.3), st, step=5e-3)
+        assert np.max(np.abs(out.a - st.a)) < 1e-8
+        assert np.max(np.abs(out.lam)) < 1e-8
+        assert abs(out.mu - st.mu) < 1e-8
+
+
+def test_geometry_leaves_models_untouched(torus2, fs2, rng):
+    # models are immutable: evaluating their geometry adds no attribute
+    from kahlerlab.prolongation import _geo_floats, _geo_floats_batch
+    for model in (torus2, fs2):
+        before = set(vars(model))
+        x = rng.uniform(-0.3, 0.3, 4)
+        gm, gamma = _geo_floats(model, "c0", x)
+        G, GAM = _geo_floats_batch(model, "c0", x[None])
+        assert set(vars(model)) == before
+        assert np.max(np.abs(G[0] - gm)) < 1e-14 and np.max(np.abs(GAM[0] - gamma)) < 1e-13
