@@ -617,7 +617,9 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     dim = N - rank
     if rows:
         M = np.concatenate(rows, axis=0)
-        _, s, vt = np.linalg.svd(M, full_matrices=True)
+        # the kernel needs all N rows of vt; the unused U stays thin when M
+        # is tall (thousands of rows on a curved product)
+        _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
         kernel = vt[rank:]
         gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) else float("inf")
     else:
