@@ -397,10 +397,12 @@ def test_transport_product_with_curved_factor(name):
         assert abs(out.mu - st.mu) < 1e-8
 
 
-def test_geometry_leaves_models_untouched(torus2, fs2, rng):
+def test_geometry_leaves_models_untouched(rng):
     # models are immutable: evaluating their geometry adds no attribute
+    # (fresh models, so no earlier test has touched them)
+    from kahlerlab.models import flat_torus, fubini_study
     from kahlerlab.prolongation import _geo_floats, _geo_floats_batch
-    for model in (torus2, fs2):
+    for model in (flat_torus(2), fubini_study(2)):
         before = set(vars(model))
         x = rng.uniform(-0.3, 0.3, 4)
         gm, gamma = _geo_floats(model, "c0", x)
