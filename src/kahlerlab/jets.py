@@ -33,6 +33,14 @@ def jet_space(nvars: int, order: int) -> "JetSpace":
     return JetSpace(nvars, order)
 
 
+def _compositions(deg, nvars):
+    """Exponent tuples of total degree ``deg``, in reverse lexicographic order."""
+    if nvars == 1:
+        return [(deg,)]
+    return [(k,) + rest for k in range(deg, -1, -1)
+            for rest in _compositions(deg - k, nvars - 1)]
+
+
 class JetSpace:
     """Multi-index bookkeeping for jets in ``nvars`` variables at total
     degree <= ``order``.
@@ -47,12 +55,7 @@ class JetSpace:
             raise InvalidInputError(f"bad jet space ({nvars}, {order})")
         self.nvars = nvars
         self.order = order
-        exps = []
-        for deg in range(order + 1):
-            block = [e for e in itertools.product(range(deg + 1), repeat=nvars)
-                     if sum(e) == deg]
-            block.sort(reverse=True)
-            exps.extend(block)
+        exps = [e for deg in range(order + 1) for e in _compositions(deg, nvars)]
         self.exponents = tuple(exps)
         self.ncoef = len(exps)
         self.index = {e: i for i, e in enumerate(exps)}

@@ -14,6 +14,9 @@ The connection reference is the closed-form complex Christoffel symbol of
 the projective metric, the same in every affine chart:
 
     Gamma^i_jk = -(delta^i_j conj(z_k) + delta^i_k conj(z_j)) / (1 + |z|^2).
+
+The transport reference is the prolonged system's right-hand side along a
+curve, written index by index with einsum.
 """
 
 import numpy as np
@@ -109,3 +112,27 @@ def fs_christoffel_oracle(x):
     out = np.empty((2 * n, 2 * n, 2 * n))
     out[0::2], out[1::2] = w.real, w.imag
     return out
+
+
+def rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu):
+    """d/dt of a batch of fiber states (a, lambda, mu) along a curve with
+    velocity xdot, index by index:
+
+        a_ij'  = lam_i gx_j + lam_j gx_i - lbar_i Jx_j - lbar_j Jx_i
+                 + C^a_i a_aj + C^a_j a_ia
+        lam_i' = mu gx_i + B a_ik xdot^k + C^a_i lam_a
+        mu'    = 2 B lam_k xdot^k
+
+    with gx = g xdot, Jx = g J xdot, lbar = lam J and C^a_i = Gamma^a_ki xdot^k.
+    """
+    gx = gm @ xdot
+    Jx = (gm @ J) @ xdot
+    lbar = lam @ J
+    C = np.einsum("aki,k->ai", gamma, xdot)
+    da = (np.einsum("ni,j->nij", lam, gx) + np.einsum("nj,i->nij", lam, gx)
+          - np.einsum("ni,j->nij", lbar, Jx) - np.einsum("nj,i->nij", lbar, Jx)
+          + np.einsum("ai,naj->nij", C, a) + np.einsum("aj,nia->nij", C, a))
+    dlam = (np.einsum("n,i->ni", mu, gx) + B * np.einsum("nik,k->ni", a, xdot)
+            + np.einsum("ai,na->ni", C, lam))
+    dmu = 2.0 * B * (lam @ xdot)
+    return da, dlam, dmu

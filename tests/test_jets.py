@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ def test_value_and_partials_against_closed_form():
     fxx = 2 * y + y * (2 * x ** 3 - 6 * x) / (1 + x * x) ** 3
     fxy = 2 * x + (1 - x * x) / (1 + x * x) ** 2
     assert np.allclose(j.derivatives(2), [[fxx, fxy], [fxy, 0.0]], atol=1e-13)
+
+
+def test_exponent_order_is_the_sorted_product_enumeration():
+    # degree blocks in reverse lexicographic order, so that truncation
+    # stays a prefix slice
+    for nvars in range(1, 7):
+        for order in range(4):
+            ref = []
+            for deg in range(order + 1):
+                ref += sorted((e for e in itertools.product(range(deg + 1), repeat=nvars)
+                               if sum(e) == deg), reverse=True)
+            assert jet_space(nvars, order).exponents == tuple(ref)
 
 
 def test_third_derivative_of_cubic():

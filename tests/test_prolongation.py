@@ -6,7 +6,9 @@ from kahlerlab.errors import (DegenerateMetricError, InvalidInputError,
 from kahlerlab.geometry import MetricJet, riemann
 from kahlerlab.hproj import ExplicitSolution, TrivialSolution, geom
 from kahlerlab.jets import Jet, jet_space
-from kahlerlab.prolongation import (MobilityConfig, ProlongedState,
+from kahlerlab.models import flat_torus, product_model
+from kahlerlab import prolongation
+from kahlerlab.prolongation import (MobilityConfig, Path, ProlongedState,
                                     TannoSolution, constant_curvature_tensor,
                                     curvature_B_condition, degree_of_mobility,
                                     estimate_B, extended_residual, fiber_basis,
@@ -15,6 +17,8 @@ from kahlerlab.prolongation import (MobilityConfig, ProlongedState,
                                     laplace_identity_residual, line_path,
                                     rectangle_loop, signature, tanno_residual,
                                     transport, transport_states)
+from kahlerlab.tensors import hermitize
+from oracles import rhs_einsum
 
 
 def test_extended_residual_trivial_solution(fs2, rng):
@@ -409,3 +413,100 @@ def test_geometry_leaves_models_untouched(rng):
         G, GAM = _geo_floats_batch(model, "c0", x[None])
         assert set(vars(model)) == before
         assert np.max(np.abs(G[0] - gm)) < 1e-14 and np.max(np.abs(GAM[0] - gamma)) < 1e-13
+
+
+def _tori3():
+    return product_model([flat_torus(2, 1.0) for _ in range(3)])
+
+
+def _stepwise(model, B, segments, a, lam, mu, step, project=True):
+    """Reference transport: one RK4 step after another, geometry at every stage."""
+    J = model.j_matrix(segments[0].chart)
+    for seg in segments:
+        nsteps = max(1, int(np.ceil(seg.length / step)))
+        h = 1.0 / nsteps
+        X, XD = (np.stack(v) for v in zip(*(seg(t) for t in np.arange(2 * nsteps + 1) * h / 2)))
+        G, GAM = prolongation._geo_floats_batch(model, seg.chart, X)
+        for s in range(nsteps):
+            def f(c, y):
+                i = 2 * s + int(2 * c)
+                return prolongation._rhs(G[i], J, GAM[i], XD[i], B, *y)
+            a, lam, mu = prolongation.rk4_step(f, (a, lam, mu), h)
+            if project:
+                a = hermitize(a, J)
+    return a, lam, mu
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+@pytest.mark.parametrize("batch", [1, "N"])
+def test_rhs_matches_einsum_oracle(d, batch, rng):
+    N = 1 if batch == 1 else (d // 2 + 1) ** 2
+    gm = rng.normal(size=(d, d))
+    args = (gm + gm.T, rng.normal(size=(d, d)), rng.normal(size=(d, d, d)),
+            rng.normal(size=d), -0.25, rng.normal(size=(N, d, d)),
+            rng.normal(size=(N, d)), rng.normal(size=N))
+    for got, ref in zip(prolongation._rhs(*args), rhs_einsum(*args)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name,B", [("torus", 0.0), ("tori3", 0.0), ("flat", -0.25)])
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("batch", [1, "N"])
+def test_squared_transport_matches_stepwise(name, B, project, batch, flat2, torus2, rng):
+    # constant metric, straight segments: the step map raised by squaring
+    model = {"torus": torus2, "tori3": _tori3(), "flat": flat2}[name]
+    base = np.zeros(model.dim)
+    segments = [line_path("c0", base, rng.uniform(-0.4, 0.4, model.dim))]
+    if model.periods is not None:
+        segments += lattice_loops(model, model.point(segments[0](1.0)[0]))[0]
+    N = 1 if batch == 1 else len(fiber_basis(model))
+    # not hermitian, so that the projection after each step shows
+    a, lam, mu = (rng.normal(size=(N, model.dim, model.dim)),
+                  rng.normal(size=(N, model.dim)), rng.normal(size=N))
+    got = prolongation._transport_batch(model, B, segments, a, lam, mu, 2e-3, project)
+    ref = _stepwise(model, B, segments, a, lam, mu, 2e-3, project)
+    scale = max(np.max(np.abs(r)) for r in ref)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-12 * scale
+
+
+def test_only_constant_segments_are_squared(fs2, flat2, monkeypatch):
+    calls = []
+    rhs = prolongation._rhs
+    monkeypatch.setattr(prolongation, "_rhs", lambda *args: calls.append(1) or rhs(*args))
+    st = fiber_basis(fs2)[0]
+    seg = line_path("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
+    transport(fs2, -0.25, seg, st, step=0.05, refine_tol=None)
+    assert len(calls) == 4 * int(np.ceil(seg.length / 0.05))     # every step of FS
+    calls.clear()
+    transport(flat2, -0.25, seg, st, step=0.05, refine_tol=None)
+    assert len(calls) == 4                                        # one step of the identity
+
+
+@pytest.mark.parametrize("name", ["torus", "tori3"])
+def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch):
+    model = torus2 if name == "torus" else _tori3()
+    base = model.point(np.zeros(model.dim))
+
+    def projector(report):
+        q, _ = np.linalg.qr(np.stack([s.pack() for s in report.basis]).T)
+        return q @ q.T
+
+    squared = degree_of_mobility(model, 0.0, base)
+    monkeypatch.setattr(prolongation, "_transport_batch", _stepwise)
+    stepwise = degree_of_mobility(model, 0.0, base)
+    assert squared.dimension == stepwise.dimension == model.n ** 2
+    assert squared.constraint_history == stepwise.constraint_history
+    assert np.max(np.abs(projector(squared) - projector(stepwise))) <= 1e-10
+
+
+def test_transport_domain_checked_at_every_stage(fs2):
+    # out of the chart box (|x| <= 4) near t = 1/4 and back by t = 1/2
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    bump = Path("c0", lambda t: (9.0 * np.sin(2 * np.pi * t) * e0,
+                                 18.0 * np.pi * np.cos(2 * np.pi * t) * e0), 1.0)
+    st = fiber_basis(fs2)[0]
+    with pytest.raises(OutOfDomainError):
+        transport(fs2, -0.25, bump, st, step=0.05, refine_tol=None)
