@@ -370,13 +370,20 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
 
 def rk4_order_ratio(model, x0, v0, alpha, beta, t_end, step):
     """Endpoint step-halving ratio |e(h) - e(h/2)| / |e(h/2) - e(h/4)|;
-    close to 16 for a 4th-order integrator."""
-    ends = []
-    for h in (step, step / 2, step / 4):
-        c = integrate_hplanar(model, x0, v0, alpha, beta, t_end, h)
-        ends.append(c.points[-1].coords)
-    e1 = np.linalg.norm(ends[0] - ends[1])
-    e2 = np.linalg.norm(ends[1] - ends[2])
-    if e2 == 0.0:
-        return float("inf")
-    return float(e1 / e2)
+    close to 16 for a 4th-order integrator.
+
+    A finer difference within 16 ulp of the endpoint is round-off, and a
+    ratio of round-off says nothing about the order, so h grows by 4 from
+    ``step`` while it is, up to the cap h <= t_end / 8.  A finer difference
+    of exactly 0 gives 0.0, not a non-number.
+    """
+    h = step
+    while True:
+        ends = [integrate_hplanar(model, x0, v0, alpha, beta, t_end, h / k).points[-1].coords
+                for k in (1, 2, 4)]
+        e1 = np.linalg.norm(ends[0] - ends[1])
+        e2 = np.linalg.norm(ends[1] - ends[2])
+        noise = 16 * np.finfo(float).eps * max(1.0, np.linalg.norm(ends[2]))
+        if e2 > noise or 4 * h > t_end / 8:
+            return float(e1 / e2) if e2 > 0.0 else 0.0
+        h *= 4

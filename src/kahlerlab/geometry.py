@@ -134,9 +134,11 @@ def riemann_symmetry_residuals(mj: MetricJet, J=None):
 
 # -- covariant differentiation -------------------------------------------
 
-def christoffel_jet(gjet: Jet) -> Jet:
-    """Jet of Gamma^i_jk from a metric jet (one order lower)."""
-    ginv = jet_matrix_inverse(gjet)
+def christoffel_jet(gjet: Jet, ginv: Jet = None) -> Jet:
+    """Jet of Gamma^i_jk from a metric jet (one order lower); ``ginv`` is the
+    jet of the inverse metric, when the caller holds it already."""
+    if ginv is None:
+        ginv = jet_matrix_inverse(gjet)
     dg = gjet.gradient()  # payload (d, d, d): dg[i,j,k] = d_k g_ij
     # lower[a,j,k] = d_j g_ak + d_k g_aj - d_a g_jk
     lower = Jet(dg.space, (np.einsum("takj->tajk", dg.coef) + dg.coef

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ShapeMismatchError, SingularMetricError
 from .geometry import MetricJet, christoffel_jet, cov_step_jet, riemann
-from .jets import Jet, jet_det, jet_einsum, jet_eval, jet_matrix_inverse
+from .jets import Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_inverse
 from .tensors import hermitize, jtensor_contract
 
 
@@ -40,7 +40,7 @@ class GeomCache:
         if hit is None:
             gjet = jet_eval(self.model.metric_fn(point.chart), list(point.coords), order)
             ginv = jet_matrix_inverse(gjet)
-            gamma = christoffel_jet(gjet) if order >= 1 else None
+            gamma = christoffel_jet(gjet, ginv) if order >= 1 else None
             hit = {"g": gjet, "ginv": ginv, "gamma": gamma,
                    "J": self.model.j_matrix(point.chart)}
             if len(self._memo) > 512:
@@ -272,14 +272,13 @@ def pair_a_jet(g_model, gbar_model, point, order):
     n = g_model.n
     gjet = geom(g_model, point, order)["g"].truncate(order)
     gbar = jet_eval(gbar_model.metric_fn(point.chart), list(point.coords), order)
-    det_g = jet_det(gjet)
-    det_gbar = jet_det(gbar)
-    ratio_const = float(det_gbar.const) / float(det_g.const)
-    if ratio_const <= 0.0:
+    sign_g, logdet_g = jet_logdet(gjet)
+    sign_gbar, logdet_gbar = jet_logdet(gbar)
+    if sign_g != sign_gbar:
         raise SingularMetricError(
-            f"determinant ratio {ratio_const:.3e} <= 0: the metrics do not have "
-            "the same signature, the comparison tensor is undefined")
-    factor = (det_gbar / det_g) ** (1.0 / (2.0 * (n + 1)))
+            "det gbar / det g < 0: the metrics do not have the same signature, "
+            "the comparison tensor is undefined")
+    factor = ((logdet_gbar - logdet_g) * (1.0 / (2.0 * (n + 1)))).exp()
     gbar_inv = jet_matrix_inverse(gbar)
     core = jet_einsum("ia,aj->ij", jet_einsum("ia,ab->ib", gjet, gbar_inv), gjet)
     return jet_einsum(",ij->ij", factor, core)

@@ -12,6 +12,13 @@ operations broadcast over the payload.  Derivatives are read off the
 coefficients exactly; the finite-difference functions at the bottom of the
 module exist only as an independent cross-check of this backend.
 
+A product sums its Leibniz terms segment by segment over one multiplication
+table per space, sorted by target coefficient.  Inverses, scalar or matrix,
+follow the degree recurrence X_c = -X_0 sum_{deg i >= 1, i + j = c} A_i X_j,
+and determinants enter as log-determinants, log|det A_0| plus the series of
+tr(N^k) for the nilpotent N = A_0^-1 (A - A_0) (Griewank & Walther,
+*Evaluating Derivatives*, 2008; Neidinger, SIAM Review 52, 2010).
+
 Chart transitions and solution fields are written against plain scalar
 arithmetic (``+ - * /`` and ``**``), so the same code runs on floats, on
 numpy arrays (batched evaluation) and on Jets (derivative evaluation).
@@ -25,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SingularMetricError
 
 
 @lru_cache(maxsize=None)
@@ -59,27 +66,37 @@ class JetSpace:
         self.exponents = tuple(exps)
         self.ncoef = len(exps)
         self.index = {e: i for i, e in enumerate(exps)}
-        self._degree = np.array([sum(e) for e in exps])
+        E = np.array(exps).reshape(self.ncoef, nvars)
+        self._degree = E.sum(axis=1)
         # alpha! per coefficient, for partial-derivative extraction
-        self._factorial = np.array([float(np.prod([math.factorial(k) for k in e]))
-                                    for e in exps])
-        self._build_mul_table()
+        fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+        self._factorial = fact[E].prod(axis=1)
+        self._build_mul_table(E)
         self._shift_cache = {}
         self._part_cache = {}
 
-    def _build_mul_table(self):
-        ia, ib, ic = [], [], []
-        for i, ei in enumerate(self.exponents):
-            di = sum(ei)
-            for j, ej in enumerate(self.exponents):
-                if di + sum(ej) > self.order:
-                    continue
-                ia.append(i)
-                ib.append(j)
-                ic.append(self.index[tuple(a + b for a, b in zip(ei, ej))])
-        self._mia = np.array(ia)
-        self._mib = np.array(ib)
-        self._mic = np.array(ic)
+    def _build_mul_table(self, E):
+        """Leibniz pairs (i, j) sorted by the target c of e_i + e_j, the start
+        of each target's segment (never empty: (0, c) is in it), and per
+        degree k >= 1 the coefficient slice, pair slice and segment starts."""
+        deg, m, p = self._degree, self.nvars, self.order
+        ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= p)
+        # position of e_i + e_j in the enumeration: the exponents of lower
+        # degree, plus, per variable v, those of the same degree that agree
+        # before v and are larger at v (a hockey-stick sum of binomials)
+        binom = np.array([[math.comb(a, b) for b in range(m + 1)]
+                          for a in range(p + m + 1)])
+        tail = np.cumsum((E[ia] + E[ib])[:, ::-1], axis=1)[:, ::-1]
+        ic = sum(binom[tail[:, v] - 1 + m - v, m - v] for v in range(m))
+        perm = np.argsort(ic, kind="stable")
+        self._mia, self._mib = ia[perm], ib[perm]
+        ends = np.searchsorted(ic[perm], np.arange(self.ncoef + 1))
+        self._seg = ends[:-1]
+        first = np.searchsorted(deg, np.arange(p + 2))
+        self._by_degree = [(slice(first[k], first[k + 1]),
+                            slice(ends[first[k]], ends[first[k + 1]]),
+                            ends[first[k]:first[k + 1]] - ends[first[k]])
+                           for k in range(1, p + 1)]
 
     def shift_table(self, var):
         """Index maps implementing d/dx_var as a series in the order-1 lower space."""
@@ -216,22 +233,17 @@ class Jet:
             a, b = _match(self, other)
             s = a.space
             prods = a.coef[s._mia] * b.coef[s._mib]
-            out = np.zeros((s.ncoef,) + prods.shape[1:])
-            np.add.at(out, s._mic, prods)
-            return Jet(s, out)
+            return Jet(s, np.add.reduceat(prods, s._seg, axis=0))
         return Jet(self.space, self.coef * np.asarray(other, dtype=float))
 
     __rmul__ = __mul__
 
     def reciprocal(self):
+        """1/self by the degree recurrence (see the module docstring)."""
         c0 = self.coef[0]
         if np.any(np.abs(c0) < 1e-300):
             raise ZeroDivisionError("jet reciprocal at vanishing value")
-        r = Jet.constant(self.space, 1.0 / c0)
-        iters = max(1, math.ceil(math.log2(self.space.order + 1)))
-        for _ in range(iters):
-            r = r * (2.0 - self * r)
-        return r
+        return Jet(self.space, _inverse_coef(self, 1.0 / c0, np.multiply))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -282,6 +294,19 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(m={self.space.nvars}, p={self.space.order}, payload={self.payload_shape})"
+
+
+def _inverse_coef(a, x0, mul):
+    """Coefficients of the inverse X of A under ``mul``, given X_0 = A_0^-1,
+    one degree at a time by one product and one segmented sum.  The term
+    A_0 X_c in the segment of c adds nothing: X_c is still zero then."""
+    s = a.space
+    x = np.zeros(a.coef.shape)
+    x[0] = x0
+    for cs, ps, starts in s._by_degree:
+        terms = mul(a.coef[s._mia[ps]], x[s._mib[ps]])
+        x[cs] = -mul(x0, np.add.reduceat(terms, starts, axis=0))
+    return x
 
 
 def _match(a, b):
@@ -371,11 +396,6 @@ def _as_cnum(x):
 
 # -- evaluation of scalar-generic functions ------------------------------
 
-def jet_variables(space, x0):
-    return [Jet.variable(space, float(x0[i]) if np.ndim(x0[i]) == 0 else np.asarray(x0[i], float), i)
-            for i in range(space.nvars)]
-
-
 def jet_pack(space, nested):
     """Pack a nested list structure of Jets/numbers into one payload Jet."""
     def leaf(node):
@@ -404,7 +424,7 @@ def jet_eval(fn, x0, order):
     structure.
     """
     space = jet_space(len(x0), order)
-    out = fn(jet_variables(space, x0))
+    out = fn([Jet.variable(space, x, i) for i, x in enumerate(x0)])
     return jet_pack(space, out)
 
 
@@ -418,9 +438,7 @@ def jet_einsum(subscripts, a, b):
         a, b = _match(a, b)
         s = a.space
         prods = np.einsum(f"t{sa},t{sb}->t{out_sub}", a.coef[s._mia], b.coef[s._mib])
-        out = np.zeros((s.ncoef,) + prods.shape[1:])
-        np.add.at(out, s._mic, prods)
-        return Jet(s, out)
+        return Jet(s, np.add.reduceat(prods, s._seg, axis=0))
     if isinstance(a, Jet):
         return Jet(a.space, np.einsum(f"t{sa},{sb}->t{out_sub}", a.coef, np.asarray(b, float)))
     if isinstance(b, Jet):
@@ -428,52 +446,30 @@ def jet_einsum(subscripts, a, b):
     return np.einsum(subscripts, a, b)
 
 
-def jet_matmul(a, b):
-    return jet_einsum("...ij,...jk->...ik", a, b)
-
-
 def jet_matrix_inverse(a):
-    """Inverse of a jet-valued matrix (payload (..., k, k)) by Newton iteration."""
-    x = Jet.constant(a.space, np.linalg.inv(a.const))
-    iters = max(1, math.ceil(math.log2(a.space.order + 1)))
-    eye = np.eye(a.payload_shape[-1])
-    for _ in range(iters):
-        x = jet_matmul(x, Jet.constant(a.space, 2.0 * eye) - jet_matmul(a, x))
-    return x
+    """Inverse of a jet-valued matrix (payload (..., k, k)) by the degree
+    recurrence (see the module docstring)."""
+    return Jet(a.space, _inverse_coef(a, np.linalg.inv(a.const), np.matmul))
 
 
-def generic_det(mat):
-    """Determinant over generic scalars by LU with pivoting on the value part.
-
-    ``mat`` is a square nested list (or array) of floats/Jets.
-    """
-    rows = [list(r) for r in mat]
-    n = len(rows)
-
-    def mag(x):
-        v = x.const if isinstance(x, Jet) else x
-        return float(np.max(np.abs(v))) if np.ndim(v) else abs(float(v))
-
-    det = 1.0
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: mag(rows[r][c]))
-        if mag(rows[p][c]) == 0.0:
-            return 0.0 * rows[0][0]
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = det * -1.0
-        det = det * rows[c][c]
-        inv_piv = 1.0 / rows[c][c] if not isinstance(rows[c][c], Jet) else rows[c][c].reciprocal()
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv_piv
-            rows[r] = [rows[r][k] - f * rows[c][k] for k in range(n)]
-    return det
-
-
-def jet_det(a):
-    """Determinant of a jet-valued matrix with payload exactly (k, k)."""
-    k = a.payload_shape[-1]
-    return generic_det([[a[i, j] for j in range(k)] for i in range(k)])
+def jet_logdet(a):
+    """Sign of det A_0 and the jet of log|det A| = log|det A_0|
+    + sum_{k <= order} (-1)^(k+1) tr(N^k) / k, N = A_0^-1 (A - A_0), for a
+    jet-valued matrix (payload (..., k, k)).  A singular A_0 raises
+    SingularMetricError before anything is inverted."""
+    sign, ld0 = np.linalg.slogdet(a.const)
+    if np.any(sign == 0.0):
+        raise SingularMetricError("singular matrix has no log-determinant")
+    nil = Jet(a.space, np.linalg.inv(a.const) @ a.coef)
+    nil.coef[0] = 0.0
+    out = Jet.constant(a.space, ld0)
+    power = nil
+    for k in range(1, a.space.order + 1):
+        if k > 1:
+            power = jet_einsum("...ij,...jk->...ik", power, nil)
+        trace = Jet(a.space, np.trace(power.coef, axis1=-2, axis2=-1))
+        out = out + trace * ((-1.0) ** (k + 1) / k)
+    return sign, out
 
 
 # -- finite-difference cross-check backend --------------------------------

@@ -17,7 +17,15 @@ the projective metric, the same in every affine chart:
 
 The transport reference is the prolonged system's right-hand side along a
 curve, written index by index with einsum.
+
+The jet-arithmetic references build the Leibniz pairs of a jet space from its
+exponent dict in a double loop and add the terms up with ``np.add.at``;
+inverses come from Newton's iteration X <- X (2 - A X), and determinants
+from LU with partial pivoting on the value part, over those products.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,3 +144,86 @@ def rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu):
             + np.einsum("ai,na->ni", C, lam))
     dmu = 2.0 * B * (lam @ xdot)
     return da, dlam, dmu
+
+
+# -- jet arithmetic -----------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def leibniz_pairs(space):
+    """(i, j, target) index arrays of every coefficient product of a space."""
+    ia, ib, ic = [], [], []
+    for i, ei in enumerate(space.exponents):
+        for j, ej in enumerate(space.exponents):
+            if sum(ei) + sum(ej) <= space.order:
+                ia.append(i)
+                ib.append(j)
+                ic.append(space.index[tuple(a + b for a, b in zip(ei, ej))])
+    return np.array(ia), np.array(ib), np.array(ic)
+
+
+def jet_einsum_add_at(subscripts, a, b):
+    """Binary einsum of two jets over one space, terms added by np.add.at."""
+    ia, ib, ic = leibniz_pairs(a.space)
+    lhs, out_sub = subscripts.split("->")
+    sa, sb = lhs.split(",")
+    prods = np.einsum(f"t{sa},t{sb}->t{out_sub}", a.coef[ia], b.coef[ib])
+    out = np.zeros((a.space.ncoef,) + prods.shape[1:])
+    np.add.at(out, ic, prods)
+    return Jet(a.space, out)
+
+
+def jet_mul_add_at(a, b):
+    return jet_einsum_add_at("...,...->...", a, b)
+
+
+def _newton_steps(space):
+    return max(1, math.ceil(math.log2(space.order + 1)))
+
+
+def newton_reciprocal(a):
+    r = Jet.constant(a.space, 1.0 / a.const)
+    for _ in range(_newton_steps(a.space)):
+        r = jet_mul_add_at(r, 2.0 - jet_mul_add_at(a, r))
+    return r
+
+
+def newton_matrix_inverse(a):
+    """Inverse of a jet with payload (..., k, k)."""
+    mm = "...ij,...jk->...ik"
+    x = Jet.constant(a.space, np.linalg.inv(a.const))
+    two = Jet.constant(a.space, np.broadcast_to(2.0 * np.eye(a.payload_shape[-1]),
+                                                a.payload_shape))
+    for _ in range(_newton_steps(a.space)):
+        x = jet_einsum_add_at(mm, x, two - jet_einsum_add_at(mm, a, x))
+    return x
+
+
+def generic_det(mat):
+    """Determinant of a square nested list of scalar jets."""
+    rows = [list(r) for r in mat]
+    n = len(rows)
+    det = Jet.constant(rows[0][0].space, 1.0)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(float(rows[r][c].const)))
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det = jet_mul_add_at(det, rows[c][c])
+        inv_piv = newton_reciprocal(rows[c][c])
+        for r in range(c + 1, n):
+            f = jet_mul_add_at(rows[r][c], inv_piv)
+            rows[r] = [rows[r][k] - jet_mul_add_at(f, rows[c][k]) for k in range(n)]
+    return det
+
+
+def log_abs(x):
+    """log|x| of a scalar jet: log|x_0| plus the series of log(1 + t),
+    t = x / x_0 - 1."""
+    t = Jet(x.space, x.coef / x.const)
+    t.coef[0] = 0.0
+    out = Jet.constant(x.space, np.log(abs(x.const)))
+    term = t
+    for k in range(1, x.space.order + 1):
+        out = out + term * ((-1.0) ** (k + 1) / k)
+        term = jet_mul_add_at(term, t)
+    return out

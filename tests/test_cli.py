@@ -155,6 +155,18 @@ def test_hplanar_csv_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_hplanar_flat_order_ratio_all_seeds(tmp_path):
+    # At step 4e-3 the ratio's finer endpoint difference on flat curves is
+    # round-off at seeds such as 1, 3 and 5; the grown step measures the order.
+    # --step only sets the main batch; the ratio curve is drawn as by default.
+    for seed in range(1, 21):
+        out = tmp_path / f"rep{seed}.json"
+        assert _run(["hplanar", "--model", "flat", "--seed", str(seed), "--step", "5e-3",
+                     "--out", str(out)]) == 0, seed
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert 12.0 <= checks["rk4_ratio_low"]["max_residual"] <= 20.0
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-kahler", "--samples", "0"],
     ["hplanar", "--model", "flat", "--samples", "0"],

@@ -8,9 +8,10 @@ from kahlerlab.hproj import (CombinationSolution, PairSolution, PsiSolution,
                              gbar_from_a, geom, hermitian_symmetric_basis,
                              hpr_residual, integrability_residual,
                              killing_residual, lambda_from_a,
-                             lambda_least_squares, psi_infinitesimal)
-from kahlerlab.models import (flat_model, fubini_study, pullback_fs,
-                              rescale_model)
+                             lambda_least_squares, pair_a_jet, psi_infinitesimal)
+from kahlerlab.jets import jet_matrix_inverse
+from kahlerlab.models import (KahlerModel, flat_model, fubini_study, pullback_fs,
+                              rescale_model, standard_J)
 
 
 def _a_pair_oracle(g, gbar, n):
@@ -67,6 +68,35 @@ def test_negative_determinant_ratio_rejected(fs2, rng):
     gm = flat_model(2, diag=[1.0, -1.0])
     a = a_from_pair(gp, gm, gp.point(rng.uniform(-1, 1, 4)))
     assert np.isfinite(a).all()
+
+    # hand-built constant metrics: one negative axis flips the sign of
+    # det gbar, a zero axis makes it singular; both are rejected
+    def const_model(diag):
+        g = np.diag(diag)
+        return KahlerModel("flat", 2, gp.charts, "c0", {"c0": lambda xs: g},
+                           {"c0": standard_J(2)})
+
+    p = gp.point(rng.uniform(-1, 1, 4))
+    for diag in ([-1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(SingularMetricError):
+            pair_a_jet(gp, const_model(diag), p, 2)
+    a = pair_a_jet(gp, const_model([-1.0, -1.0, 1.0, 1.0]), p, 2)
+    assert np.allclose(a.const, np.diag([-1.0, -1.0, 1.0, 1.0]))
+
+
+def test_geometry_inverts_the_metric_once(fs2, monkeypatch):
+    from kahlerlab import geometry, hproj
+    calls = []
+
+    def counted(a):
+        calls.append(a.space.order)
+        return jet_matrix_inverse(a)
+
+    monkeypatch.setattr(hproj, "jet_matrix_inverse", counted)
+    monkeypatch.setattr(geometry, "jet_matrix_inverse", counted)
+    hit = hproj.GeomCache(fs2).at(fs2.point([0.1, -0.2, 0.3, 0.05]), 3)
+    assert calls == [3]
+    assert hit["gamma"].space.order == 2
 
 
 def test_gbar_round_trips(fs2, ga_diag, rng):

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from kahlerlab.errors import InvalidInputError
-from kahlerlab.jets import (CNum, Jet, fd_gradient, fd_hessian, jet_det,
-                            jet_einsum, jet_eval, jet_matrix_inverse,
-                            jet_space)
+from kahlerlab.errors import InvalidInputError, SingularMetricError
+from kahlerlab.jets import (CNum, Jet, fd_gradient, fd_hessian, jet_einsum,
+                            jet_eval, jet_logdet, jet_matrix_inverse, jet_space)
+
+from oracles import (generic_det, jet_einsum_add_at, jet_mul_add_at, log_abs,
+                     newton_matrix_inverse, newton_reciprocal)
 
 
 def f_rational(xs):
@@ -84,12 +86,71 @@ def test_matrix_inverse_and_det(rng):
     assert np.allclose(prod.coef[0], np.eye(2))
     assert np.max(np.abs(prod.coef[1:])) < 1e-12
 
-    def detf(xs):
+    def logdetf(xs):
         m = mat(xs)
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return np.log(m[0][0] * m[1][1] - m[0][1] * m[1][0])
 
-    jd = jet_det(jm)
-    assert np.allclose(jd.derivatives(1), fd_gradient(detf, [0.1, 0.2]), atol=1e-8)
+    sign, ld = jet_logdet(jm)
+    assert sign == 1.0
+    assert np.isclose(ld.const, logdetf([0.1, 0.2]))
+    assert np.allclose(ld.derivatives(1), fd_gradient(logdetf, [0.1, 0.2]), atol=1e-8)
+    assert np.allclose(ld.derivatives(2), fd_hessian(logdetf, [0.1, 0.2]), atol=1e-6)
+
+
+def _rel_err(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def _matrix_jet(rng, order, d, batch, negatives):
+    """A random jet in 2 variables with payload (d, d) or (batch, d, d):
+    A_0 = Q diag(s) Q^T with |s| in [0.5, 2], ``negatives`` of them < 0 (so
+    det A_0 has the sign (-1)^negatives), and higher coefficients of size 0.2."""
+    space = jet_space(2, order)
+    shape = (d, d) if batch is None else (batch, d, d)
+    coef = 0.2 * rng.normal(size=(space.ncoef,) + shape)
+    q, _ = np.linalg.qr(rng.normal(size=shape))
+    s = rng.uniform(0.5, 2.0, shape[:-1])
+    s[..., :negatives] *= -1.0
+    coef[0] = (q * s[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return Jet(space, coef)
+
+
+ORACLE_CASES = [(order, d, batch, negatives) for order in range(4) for d in (4, 6, 8)
+                for batch in (None, 3) for negatives in (0, 1)]
+
+
+@pytest.mark.parametrize("order,d,batch,negatives", ORACLE_CASES)
+def test_inverse_and_logdet_against_oracles(order, d, batch, negatives):
+    rng = np.random.default_rng(1000 * order + 10 * d + negatives + (batch or 0))
+    a = _matrix_jet(rng, order, d, batch, negatives)
+    inv = jet_matrix_inverse(a)
+    assert _rel_err(inv.coef, newton_matrix_inverse(a).coef) < 1e-13
+    # A A^-1 = I on every coefficient, under the reference product
+    prod = jet_einsum_add_at("...ij,...jk->...ik", a, inv).coef
+    assert np.max(np.abs(prod[0] - np.eye(d))) < 1e-13
+    assert np.max(np.abs(prod[1:]), initial=0.0) < 1e-13
+    sign, ld = jet_logdet(a)
+    assert np.all(sign == (-1.0) ** negatives)
+    for b in range(1) if batch is None else range(batch):
+        ab = a if batch is None else a[b]
+        ref = generic_det([[ab[i, j] for j in range(d)] for i in range(d)])
+        assert np.sign(ref.const) == (-1.0) ** negatives
+        ldb = ld.coef if batch is None else ld.coef[:, b]
+        assert _rel_err(ldb, log_abs(ref).coef) < 1e-13
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_products_and_reciprocal_against_oracles(order, rng):
+    space = jet_space(3, order)
+    a = Jet(space, rng.normal(size=(space.ncoef, 5)))
+    b = Jet(space, rng.normal(size=(space.ncoef, 5)))
+    a.coef[0] += 3.0 * np.sign(a.coef[0])
+    assert _rel_err((a * b).coef, jet_mul_add_at(a, b).coef) < 1e-13
+    assert _rel_err(a.reciprocal().coef, newton_reciprocal(a).coef) < 1e-13
+    m = Jet(space, rng.normal(size=(space.ncoef, 5, 4, 4)))
+    t = Jet(space, rng.normal(size=(space.ncoef, 4, 4, 4)))
+    assert _rel_err(jet_einsum("bia,ajk->bijk", m, t).coef,
+                    jet_einsum_add_at("bia,ajk->bijk", m, t).coef) < 1e-13
 
 
 def test_jet_einsum_matches_numpy_on_constants(rng):
@@ -137,6 +198,8 @@ def test_error_paths():
         Jet.constant(space, -1.0).log()
     with pytest.raises(ZeroDivisionError):
         Jet.constant(space, 0.0).reciprocal()
+    with pytest.raises(SingularMetricError):
+        jet_logdet(Jet.constant(space, np.diag([1.0, 0.0, 2.0])))
     j = jet_eval(f_rational, [0.1, 0.2], 1)
     with pytest.raises(InvalidInputError):
         j.derivatives(2)
