@@ -1,5 +1,10 @@
 """Connection, curvature and covariant differentiation on metric jets.
 
+The first-kind combination of the connection is written once
+(``_first_kind``); ``christoffels`` raises it with the inverse metric on
+float arrays over any batch axes, ``christoffel_jet`` on a metric jet.  The
+curvature is read off the connection jet alone (``riemann``).
+
 Conventions (all residual checks in the package are tied to these):
 
     Gamma^i_jk = (1/2) g^{ia} (d_j g_{ak} + d_k g_{aj} - d_a g_{jk})
@@ -25,100 +30,36 @@ from .jets import Jet, jet_einsum, jet_eval, jet_matrix_inverse
 _LETTERS = "abcdefgh"
 
 
-@dataclass
-class MetricJet:
-    """Metric components and exact partials (to the carried order) at a point."""
-
-    point: np.ndarray
-    g: np.ndarray
-    dg: np.ndarray = None
-    d2g: np.ndarray = None
-    d3g: np.ndarray = None
-    det_floor: float = 1e-12
-
-    @staticmethod
-    def from_function(fn, x, order=3, det_floor=1e-12):
-        j = jet_eval(fn, x, order)
-        return MetricJet.from_jet(x, j, det_floor)
-
-    @staticmethod
-    def from_jet(x, gjet, det_floor=1e-12):
-        order = gjet.space.order
-        return MetricJet(
-            point=np.asarray(x, dtype=float),
-            g=gjet.const.copy(),
-            dg=gjet.derivatives(1) if order >= 1 else None,
-            d2g=gjet.derivatives(2) if order >= 2 else None,
-            d3g=gjet.derivatives(3) if order >= 3 else None,
-            det_floor=det_floor,
-        )
-
-    @property
-    def dim(self):
-        return self.g.shape[0]
-
-    @property
-    def order(self):
-        for r, arr in ((3, self.d3g), (2, self.d2g), (1, self.dg)):
-            if arr is not None:
-                return r
-        return 0
-
-    def require(self, order):
-        if self.order < order:
-            raise InsufficientJetError(
-                f"operation needs metric jets of order {order}, have {self.order}")
-
-    def check_nondegenerate(self):
-        det = float(np.linalg.det(self.g))
-        scale = float(np.prod(np.linalg.norm(self.g, axis=1)))
-        if abs(det) <= self.det_floor * max(scale, 1e-300):
-            raise SingularMetricError(f"|det g| = {abs(det):.3e} below threshold")
-
-    @property
-    def g_inv(self):
-        self.check_nondegenerate()
-        return np.linalg.inv(self.g)
+def _first_kind(dg):
+    """lower[..., a, j, k] = d_j g_ak + d_k g_aj - d_a g_jk from
+    dg[..., i, j, k] = d_k g_ij, over any leading axes."""
+    return np.einsum("...akj->...ajk", dg) + dg - np.einsum("...jka->...ajk", dg)
 
 
-def christoffels(mj: MetricJet) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma[i,j,k] = Gamma^i_jk."""
-    mj.require(1)
-    mj.check_nondegenerate()
-    ginv = np.linalg.inv(mj.g)
-    dg = mj.dg
-    # lower[a,j,k] = d_j g_ak + d_k g_aj - d_a g_jk
-    lower = np.einsum("akj->ajk", dg) + dg - np.einsum("jka->ajk", dg)
-    return 0.5 * np.einsum("ia,ajk->ijk", ginv, lower)
+def christoffels(g, dg):
+    """Gamma[..., i, j, k] = Gamma^i_jk from the metric and its first
+    partials, over any leading batch axes."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("the metric is singular") from None
+    return 0.5 * np.einsum("...ia,...ajk->...ijk", ginv, _first_kind(dg))
 
 
-def christoffel_partials(mj: MetricJet) -> np.ndarray:
-    """dGamma[i,j,k,l] = d_l Gamma^i_jk."""
-    mj.require(2)
-    ginv = mj.g_inv
-    dg, d2g = mj.dg, mj.d2g
-    lower = np.einsum("akj->ajk", dg) + dg - np.einsum("jka->ajk", dg)
-    # d_l lower[a,j,k]
-    dlower = np.einsum("akjl->ajkl", d2g) + d2g - np.einsum("jkal->ajkl", d2g)
-    dginv = -np.einsum("ib,bcl,ca->ial", ginv, dg, ginv)
-    return 0.5 * (np.einsum("ial,ajk->ijkl", dginv, lower)
-                  + np.einsum("ia,ajkl->ijkl", ginv, dlower))
+def riemann(gamma_jet: Jet) -> np.ndarray:
+    """Curvature R[i,j,k,l] = R^i_jkl, in the convention of the module
+    docstring, from a connection jet of order >= 1."""
+    if gamma_jet.space.order < 1:
+        raise InsufficientJetError("curvature needs the first partials of the connection")
+    gam, dgam = gamma_jet.const, gamma_jet.derivatives(1)   # dgam[i,j,k,l] = d_l Gamma^i_jk
+    return (np.einsum("iljk->ijkl", dgam) - np.einsum("ikjl->ijkl", dgam)
+            + np.einsum("ika,alj->ijkl", gam, gam) - np.einsum("ila,akj->ijkl", gam, gam))
 
 
-def riemann(mj: MetricJet) -> np.ndarray:
-    """Curvature R[i,j,k,l] = R^i_jkl in the convention of the module docstring."""
-    mj.require(2)
-    gam = christoffels(mj)
-    dgam = christoffel_partials(mj)
-    r = (np.einsum("iljk->ijkl", dgam) - np.einsum("ikjl->ijkl", dgam)
-         + np.einsum("ika,alj->ijkl", gam, gam) - np.einsum("ila,akj->ijkl", gam, gam))
-    return r
-
-
-def riemann_symmetry_residuals(mj: MetricJet, J=None):
-    """Max residuals of the curvature symmetries (and J-commutation if J given)."""
-    r_up = riemann(mj)
-    r = np.einsum("ia,ajkl->ijkl", mj.g, r_up)
+def riemann_symmetry_residuals(gm, R, J=None):
+    """Max residuals of the symmetries of the curvature R = R^i_jkl with the
+    metric gm (and of its J-commutation if J is given)."""
+    r = np.einsum("ia,ajkl->ijkl", gm, R)
     out = {
         "antisym_first_pair": float(np.max(np.abs(r + np.einsum("jikl->ijkl", r)))),
         "antisym_last_pair": float(np.max(np.abs(r + np.einsum("ijlk->ijkl", r)))),
@@ -128,7 +69,7 @@ def riemann_symmetry_residuals(mj: MetricJet, J=None):
     }
     if J is not None:
         out["J_commutation"] = float(np.max(np.abs(
-            np.einsum("iakl,aj->ijkl", r_up, J) - np.einsum("ia,ajkl->ijkl", J, r_up))))
+            np.einsum("iakl,aj->ijkl", R, J) - np.einsum("ia,ajkl->ijkl", J, R))))
     return out
 
 
@@ -140,9 +81,7 @@ def christoffel_jet(gjet: Jet, ginv: Jet = None) -> Jet:
     if ginv is None:
         ginv = jet_matrix_inverse(gjet)
     dg = gjet.gradient()  # payload (d, d, d): dg[i,j,k] = d_k g_ij
-    # lower[a,j,k] = d_j g_ak + d_k g_aj - d_a g_jk
-    lower = Jet(dg.space, (np.einsum("takj->tajk", dg.coef) + dg.coef
-                           - np.einsum("tjka->tajk", dg.coef)))
+    lower = Jet(dg.space, _first_kind(dg.coef))
     return jet_einsum("ia,ajk->ijk", ginv.truncate(lower.space.order), lower) * 0.5
 
 

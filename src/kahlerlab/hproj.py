@@ -14,50 +14,46 @@ The first-order system these should satisfy is
     a_ij,k = lambda_i g_jk + lambda_j g_ik - lbar_i J_jk - lbar_j J_ik,
 
 with lbar_i = J^a_i lambda_a and J_jk = g_ja J^a_k; `hpr_residual` measures
-its defect.  Everything here is pure and pointwise-parallel.
+its defect.  Every field and residual reads the metric, inverse-metric and
+connection jets at a point from `geom`, one memo shared by all models.
+Everything here is pointwise-parallel.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError, ShapeMismatchError, SingularMetricError
-from .geometry import MetricJet, christoffel_jet, cov_step_jet, riemann
+from .geometry import christoffel_jet, cov_step_jet, riemann
 from .jets import Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_inverse
 from .tensors import hermitize, jtensor_contract
 
 
-# -- shared geometry bundle -------------------------------------------------
+# -- geometry at a point -----------------------------------------------------
 
-class GeomCache:
-    """Per-model memo of metric/connection jets keyed by point and order."""
-
-    def __init__(self, model):
-        self.model = model
-        self._memo = {}
-
-    def at(self, point, order):
-        key = (point.chart, point.coords.tobytes(), order)
-        hit = self._memo.get(key)
-        if hit is None:
-            gjet = jet_eval(self.model.metric_fn(point.chart), list(point.coords), order)
-            ginv = jet_matrix_inverse(gjet)
-            gamma = christoffel_jet(gjet, ginv) if order >= 1 else None
-            hit = {"g": gjet, "ginv": ginv, "gamma": gamma,
-                   "J": self.model.j_matrix(point.chart)}
-            if len(self._memo) > 512:
-                self._memo.clear()
-            self._memo[key] = hit
-        return hit
-
-
-_geom_caches = {}
+_GEOM_MEMO = {}
+_DET_FLOOR = 1e-12
 
 
 def geom(model, point, order):
-    cache = _geom_caches.get(id(model))
-    if cache is None or cache.model is not model:
-        cache = GeomCache(model)
-        _geom_caches[id(model)] = cache
-    return cache.at(point, order)
+    """Jets of the metric, its inverse and (order >= 1) the connection, one
+    order lower, at a chart point, with the chart's J; memoized per model,
+    chart point and order.  A metric whose |det| is below _DET_FLOOR times
+    the product of its row norms raises SingularMetricError."""
+    key = (model, point.chart, point.coords.tobytes(), order)
+    hit = _GEOM_MEMO.get(key)
+    if hit is None:
+        gjet = jet_eval(model.metric_fn(point.chart), list(point.coords), order)
+        det = abs(float(np.linalg.det(gjet.const)))
+        scale = float(np.prod(np.linalg.norm(gjet.const, axis=1)))
+        if det <= _DET_FLOOR * max(scale, 1e-300):
+            raise SingularMetricError(f"|det g| = {det:.3e} below threshold")
+        ginv = jet_matrix_inverse(gjet)
+        hit = {"g": gjet, "ginv": ginv,
+               "gamma": christoffel_jet(gjet, ginv) if order >= 1 else None,
+               "J": model.j_matrix(point.chart)}
+        if len(_GEOM_MEMO) > 512:
+            _GEOM_MEMO.clear()
+        _GEOM_MEMO[key] = hit
+    return hit
 
 
 # -- solution fields --------------------------------------------------------
@@ -410,8 +406,7 @@ def integrability_residual(model, sol, point, use_mu=False):
         dlam = sol.mu_at(point) * gm + sol.B * a
     else:
         dlam = cov_step_jet(sol.lam_jet(point, 1), ("l",), g["gamma"]).const
-    R = riemann(MetricJet.from_jet(point.coords, g["g"]))
-    return curvature_condition(a, dlam, R, gm, g["J"])
+    return curvature_condition(a, dlam, riemann(g["gamma"]), gm, g["J"])
 
 
 def c_identity_check(model, sol_a, sol_b, point, warn=None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, OutOfDomainError,
                      UnsupportedDimensionError, UnsupportedModelError)
-from .geometry import MetricJet, verify_kahler
+from .geometry import verify_kahler
 from .jets import CNum, Jet, jet_eval, jet_space
 from .tensors import jtensor_contract
 
@@ -156,10 +156,7 @@ class KahlerModel:
                 best = (m, ChartPoint(dst, y), cand_v)
         return (best[1], best[2]) if velocity is not None else best[1]
 
-    # -- jets ------------------------------------------------------------
-    def metric_jet(self, point: ChartPoint, order=3) -> MetricJet:
-        return MetricJet.from_function(self.metric_fn(point.chart), list(point.coords), order)
-
+    # -- metric values -------------------------------------------------
     def metric_at(self, point: ChartPoint) -> np.ndarray:
         return np.array(self.metric_fn(point.chart)(list(point.coords)), dtype=float)
 

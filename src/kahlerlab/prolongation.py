@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (DegenerateMetricError, InsufficientJetError,
                      InvalidInputError, OutOfDomainError,
                      ProportionalSolutionError)
-from .geometry import (MetricJet, christoffels, cov_derivatives, cov_step_jet,
-                       riemann)
+from .geometry import christoffels, cov_derivatives, cov_step_jet, riemann
 from .hproj import (SolutionField, curvature_condition, first_order_rhs, geom,
                     hermitian_symmetric_basis, hpr_residual)
 from .jets import Jet, jet_einsum, jet_eval, jet_space
@@ -170,8 +169,7 @@ def curvature_B_condition(model, B, sol_or_a, point):
     g = geom(model, point, 2)
     a = sol_or_a.a_jet(point, 0).const if isinstance(sol_or_a, SolutionField) \
         else np.asarray(sol_or_a, dtype=float)
-    R = riemann(MetricJet.from_jet(point.coords, g["g"]))
-    return curvature_condition(a, B * a, R, g["g"].const, g["J"])
+    return curvature_condition(a, B * a, riemann(g["gamma"]), g["g"].const, g["J"])
 
 
 # -- paths and transport -------------------------------------------------------
@@ -239,9 +237,9 @@ def lattice_loops(model, base_point):
 
 
 def _geo_floats(model, chart, x):
-    """(g, Gamma) at one chart point, from an order-1 metric jet."""
-    mj = MetricJet.from_function(model.metric_fn(chart), list(x), 1)
-    return mj.g, christoffels(mj)
+    """(g, Gamma) at one chart point: a batch of one."""
+    G, GAM = _geo_floats_batch(model, chart, np.asarray(x, dtype=float)[None])
+    return G[0], GAM[0]
 
 
 def _geo_floats_batch(model, chart, X):
@@ -257,11 +255,7 @@ def _geo_floats_batch(model, chart, X):
     if not isinstance(gjet, Jet):
         return (np.broadcast_to(gjet, (B_, d, d)),
                 np.broadcast_to(np.zeros((d, d, d)), (B_, d, d, d)))
-    g, dg = gjet.const, gjet.derivatives(1)                  # (B, i, j), (B, i, j, k)
-    ginv = np.linalg.inv(g)
-    lower = (np.einsum("bakj->bajk", dg) + dg - np.einsum("bjka->bajk", dg))
-    gamma = 0.5 * np.einsum("bia,bajk->bijk", ginv, lower)
-    return g, gamma
+    return gjet.const, christoffels(gjet.const, gjet.derivatives(1))
 
 
 def rk4_step(f, y, h):
@@ -372,53 +366,6 @@ def transport_states(model, B, segments, states, step=1e-3, project=True):
     return [ProlongedState(a[i], lam[i], mu[i]) for i in range(len(states))]
 
 
-# -- transported solution fields ----------------------------------------------
-
-class TransportSolution(SolutionField):
-    """The solution field generated by one fiber state at a base point.
-
-    Values anywhere are obtained by linear transport; jets at a point are
-    completed algebraically from the prolonged system itself (the system
-    expresses every coordinate derivative of the fiber in terms of the
-    fiber), so no derivatives of the ODE solver are ever taken.
-    """
-
-    def __init__(self, model, B, base_point, state, step=1e-3):
-        super().__init__(model, B)
-        self.base_point = base_point
-        self.state = state
-        self.step = step
-        self._value_cache = {}
-
-    def state_at(self, point):
-        key = (point.chart, point.coords.tobytes())
-        hit = self._value_cache.get(key)
-        if hit is None:
-            if point.chart != self.base_point.chart:
-                raise OutOfDomainError("transport solution is single-chart")
-            seg = line_path(point.chart, self.base_point.coords, point.coords)
-            if seg.length == 0.0:
-                hit = self.state
-            else:
-                hit = transport(self.model, self.B, seg, self.state, self.step,
-                                refine_tol=None)
-            self._value_cache[key] = hit
-        return hit
-
-    def _completed(self, point, order):
-        st = self.state_at(point)
-        return frobenius_complete(self.model, self.B, point, st, order)
-
-    def a_jet(self, point, order):
-        return self._completed(point, order)[0]
-
-    def lam_jet(self, point, order):
-        return self._completed(point, order)[1]
-
-    def mu_jet(self, point, order):
-        return self._completed(point, order)[2]
-
-
 def frobenius_complete(model, B, point, state: ProlongedState, order):
     """Taylor coefficients of the solution field through a fiber state.
 
@@ -493,7 +440,7 @@ class MobilityReport:
     basis: list
     constraint_history: list
     singular_values: list
-    gap: float
+    gap: float          # None where the rank has no cut (see degree_of_mobility)
     warning: str = None
     scope: str = "local mobility estimate"
 
@@ -594,15 +541,13 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     stable = 0
     for kind, payload in batches[:config.max_batches]:
         if kind == "int_cond_base":
-            R = riemann(MetricJet.from_jet(base_point.coords, g["g"]))
-            add_rows(_int_cond_rows(gm, J, R, B, a0))
+            add_rows(_int_cond_rows(gm, J, riemann(g["gamma"]), B, a0))
         elif kind == "point":
             seg = line_path(base_point.chart, base_point.coords, payload)
             at, lt, mt = _transport_batch(model, B, [seg], a0, l0, m0, config.step)
             pt = model.point(payload, base_point.chart)
             gp = geom(model, pt, 2)
-            Rp = riemann(MetricJet.from_jet(pt.coords, gp["g"]))
-            add_rows(_int_cond_rows(gp["g"].const, gp["J"], Rp, B, at))
+            add_rows(_int_cond_rows(gp["g"].const, gp["J"], riemann(gp["gamma"]), B, at))
         else:  # loop
             at, lt, mt = _transport_batch(model, B, payload, a0, l0, m0, config.step)
             add_rows((_pack(at, lt, mt) - packed0).T)
@@ -625,10 +570,10 @@ def degree_of_mobility(model, B, base_point=None, config=None):
         # is tall (thousands of rows on a curved product)
         _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
         kernel = vt[rank:]
-        gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) else float("inf")
     else:
-        kernel = np.eye(N)
-        gap = float("inf")
+        s, kernel = sv, np.eye(N)
+    # the ratio across the rank cut; undefined (None) at rank 0 or full rank
+    gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) and s[rank] > 0 else None
 
     states = []
     for row in kernel:
@@ -684,10 +629,9 @@ def kernel_verification(model, report: MobilityReport, points, step=2e-3):
                 lam_builder=lambda p, order, j=lam_jet: j.truncate(order),
                 mu_builder=lambda p, order, j=mu_jet: j.truncate(order),
                 B=report.B)
-            worst_hpr = max(worst_hpr, float(np.max(np.abs(
-                hpr_residual(model, sol, pt)))))
-            r1, r2, r3 = extended_residual(model, sol, pt)
-            worst_ext = max(worst_ext, float(np.max(np.abs(r1))),
+            r1, r2, r3 = extended_residual(model, sol, pt)    # r1 is hpr_residual
+            worst_hpr = max(worst_hpr, float(np.max(np.abs(r1))))
+            worst_ext = max(worst_ext, worst_hpr,
                             float(np.max(np.abs(r2))), float(np.max(np.abs(r3))))
     return {"hpr": worst_hpr, "extended": worst_ext, "lambda_max": lam_max}
 

@@ -15,6 +15,12 @@ the projective metric, the same in every affine chart:
 
     Gamma^i_jk = -(delta^i_j conj(z_k) + delta^i_k conj(z_j)) / (1 + |z|^2).
 
+The float connection and curvature references work from the metric and its
+partials at one point: Gamma from the first-kind symbols raised with g^-1,
+and R from Gamma and its partials d_l Gamma^i_jk, which differentiate that
+formula by hand (d g^-1 = -g^-1 dg g^-1).  They take no jets and share no
+code with the package's connection.
+
 The transport reference is the prolonged system's right-hand side along a
 curve, written index by index with einsum.
 
@@ -29,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from kahlerlab.jets import CNum, Jet
+from kahlerlab.jets import CNum, Jet, jet_eval
 
 
 def _to_cnums(xs):
@@ -120,6 +126,35 @@ def fs_christoffel_oracle(x):
     out = np.empty((2 * n, 2 * n, 2 * n))
     out[0::2], out[1::2] = w.real, w.imag
     return out
+
+
+def _lower(dg):
+    # lower[a,j,k] = d_j g_ak + d_k g_aj - d_a g_jk, dg[i,j,k] = d_k g_ij
+    return np.einsum("akj->ajk", dg) + dg - np.einsum("jka->ajk", dg)
+
+
+def christoffels_from_partials(g, dg):
+    """Gamma[i,j,k] = Gamma^i_jk at one point."""
+    return 0.5 * np.einsum("ia,ajk->ijk", np.linalg.inv(g), _lower(dg))
+
+
+def riemann_from_partials(g, dg, d2g):
+    """R[i,j,k,l] = R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj
+    + Gamma^i_ka Gamma^a_lj - Gamma^i_la Gamma^a_kj at one point."""
+    ginv = np.linalg.inv(g)
+    dlower = np.einsum("akjl->ajkl", d2g) + d2g - np.einsum("jkal->ajkl", d2g)
+    dginv = -np.einsum("ib,bcl,ca->ial", ginv, dg, ginv)
+    dgam = 0.5 * (np.einsum("ial,ajk->ijkl", dginv, _lower(dg))
+                  + np.einsum("ia,ajkl->ijkl", ginv, dlower))    # d_l Gamma^i_jk
+    gam = christoffels_from_partials(g, dg)
+    return (np.einsum("iljk->ijkl", dgam) - np.einsum("ikjl->ijkl", dgam)
+            + np.einsum("ika,alj->ijkl", gam, gam) - np.einsum("ila,akj->ijkl", gam, gam))
+
+
+def oracle_geometry(metric_fn, x):
+    """(g, Gamma) at one point from an order-1 jet of ``metric_fn``."""
+    j = jet_eval(metric_fn, list(x), 1)
+    return j.const, christoffels_from_partials(j.const, j.derivatives(1))
 
 
 def rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu):

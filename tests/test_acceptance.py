@@ -14,7 +14,7 @@ import pytest
 from kahlerlab.cli import main as cli_main
 from kahlerlab.curves import (integrate_hplanar_batch, killing_integral_drift,
                               line_deviation, rk4_order_ratio)
-from kahlerlab.geometry import MetricJet, riemann
+from kahlerlab.geometry import riemann
 from kahlerlab.hproj import (PairSolution, c_identity_check, geom, hpr_residual,
                              killing_residual, lambda_bar_field,
                              lambda_scalar_field)
@@ -85,7 +85,7 @@ def test_criterion_02_constant_holomorphic_curvature(fs):
     for _ in range(20):
         p = fs.point(rng.uniform(-0.8, 0.8, 4))
         g = geom(fs, p, 2)
-        R = riemann(MetricJet.from_jet(p.coords, g["g"]))
+        R = riemann(g["gamma"])
         G = R + 4.0 * B_FS * constant_curvature_tensor(g["g"].const, g["J"])
         worst = max(worst, float(np.max(np.abs(G))))
     _announce(2, "constant holomorphic curvature", worst < 1e-7,

@@ -240,3 +240,29 @@ def test_spectral_eigenspace_angle_at_complex_eigenvector_seed(tmp_path, capsys)
                  if c["name"] == "lambda_eigenspace_angle")
     assert angle["pass"]
     capsys.readouterr()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv,gap_is_null", [
+    (["--model", "fs", "--n", "2", "--B", "-0.25"], True),   # full fiber: no rank cut
+    (["--model", "torus", "--n", "2", "--B", "0"], False),
+])
+def test_mobility_reports_are_strict_json(argv, gap_is_null, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert _run(["mobility"] + argv + ["--seed", "3", "--out", str(out)]) == 0
+    rep = _strict_json(out.read_text())
+    assert (rep["mobility"]["gap"] is None) == gap_is_null
+    capsys.readouterr()
+
+
+def test_non_finite_check_is_null_and_fails():
+    from kahlerlab.cli import check
+    for value in (float("inf"), float("nan")):
+        c = check("x", value, 1.0)
+        assert c["max_residual"] is None and c["pass"] is False
+        _strict_json(json.dumps(c, allow_nan=False))

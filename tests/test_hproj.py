@@ -84,8 +84,10 @@ def test_negative_determinant_ratio_rejected(fs2, rng):
     assert np.allclose(a.const, np.diag([-1.0, -1.0, 1.0, 1.0]))
 
 
-def test_geometry_inverts_the_metric_once(fs2, monkeypatch):
+def test_geometry_inverts_the_metric_once(monkeypatch):
+    # a model of its own: the geometry memo spans every model of the session
     from kahlerlab import geometry, hproj
+    fs2 = fubini_study(2)
     calls = []
 
     def counted(a):
@@ -94,7 +96,7 @@ def test_geometry_inverts_the_metric_once(fs2, monkeypatch):
 
     monkeypatch.setattr(hproj, "jet_matrix_inverse", counted)
     monkeypatch.setattr(geometry, "jet_matrix_inverse", counted)
-    hit = hproj.GeomCache(fs2).at(fs2.point([0.1, -0.2, 0.3, 0.05]), 3)
+    hit = hproj.geom(fs2, fs2.point([0.1, -0.2, 0.3, 0.05]), 3)
     assert calls == [3]
     assert hit["gamma"].space.order == 2
 

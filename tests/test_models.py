@@ -4,6 +4,7 @@ import pytest
 from kahlerlab.errors import (InvalidInputError, UnsupportedDimensionError,
                               UnsupportedModelError)
 from kahlerlab.geometry import christoffels, riemann
+from kahlerlab.hproj import geom
 from kahlerlab.jets import fd_gradient, jet_eval
 from kahlerlab.models import (Chart, ChartPoint, complex_matrix_from_pairs,
                               flat_model, flat_torus, fubini_study,
@@ -32,11 +33,11 @@ def test_fs_holomorphic_sectional_curvature_is_one(fs2, rng):
     for _ in range(10):
         p = fs2.point(rng.uniform(-0.8, 0.8, 4))
         v = rng.normal(size=4)
-        mj = fs2.metric_jet(p, order=2)
-        R = riemann(mj)
+        g = geom(fs2, p, 2)
+        R, gm = riemann(g["gamma"]), g["g"].const
         Jv = J @ v
         Rv = np.einsum("ijkl,j,k,l->i", R, Jv, v, Jv)
-        H = (mj.g @ Rv) @ v / (v @ mj.g @ v) ** 2
+        H = (gm @ Rv) @ v / (v @ gm @ v) ** 2
         assert abs(H - 1.0) < 1e-7
 
 
@@ -130,8 +131,9 @@ def test_product_weights_are_affinely_equivalent(fs2, rng):
     plain = product_model([fs2, flat_model(2), flat_model(2)], [1.0, 1.0, 1.0])
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, 12)
-        gw = christoffels(weighted.metric_jet(weighted.point(x), order=1))
-        gp = christoffels(plain.metric_jet(plain.point(x), order=1))
+        jw, jp = (jet_eval(m.metric_fn(), list(x), 1) for m in (weighted, plain))
+        gw = christoffels(jw.const, jw.derivatives(1))
+        gp = christoffels(jp.const, jp.derivatives(1))
         assert np.max(np.abs(gw - gp)) < 1e-12
 
 
@@ -143,8 +145,8 @@ def test_product_validation():
 
 
 def test_flat_torus_curvature_and_wrap(torus2, rng):
-    mj = torus2.metric_jet(torus2.point(rng.uniform(-0.4, 0.4, 4)), order=2)
-    assert np.max(np.abs(riemann(mj))) == 0.0
+    g = geom(torus2, torus2.point(rng.uniform(-0.4, 0.4, 4)), 2)
+    assert np.max(np.abs(riemann(g["gamma"]))) == 0.0
     assert torus2.verify(rng, count=5).passed
     wrapped = torus2.wrap(ChartPoint("c0", [0.7, -0.6, 0.2, 0.49]))
     assert np.allclose(wrapped.coords, [-0.3, 0.4, 0.2, 0.49])
