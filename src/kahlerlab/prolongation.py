@@ -15,6 +15,7 @@ rank procedure in ``degree_of_mobility``).
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -227,13 +228,8 @@ def lattice_loops(model, base_point):
     """Closed loops of a periodic model: straight runs over one period."""
     if model.periods is None:
         return []
-    loops = []
-    for k in range(model.dim):
-        e = np.zeros(model.dim)
-        e[k] = model.periods[k]
-        loops.append([line_path(base_point.chart, base_point.coords,
-                                base_point.coords + e)])
-    return loops
+    return [[line_path(base_point.chart, base_point.coords, base_point.coords + e)]
+            for e in np.diag(model.periods)]
 
 
 def _geo_floats(model, chart, x):
@@ -284,8 +280,9 @@ def _rhs(gm, J, gamma, xdot, B, a, lam, mu):
     return da, dlam, dmu
 
 
-def _transport_batch(model, B, segments, a, lam, mu, step, project=True):
-    """RK4 transport of a batch of states along a list of path segments.
+def _transport_batch(model, B, segments, a, lam, mu, step):
+    """RK4 transport of a batch of states along a list of path segments, with
+    the hermitian projection of a after every step.
 
     The geometry at every RK4 stage point is precomputed in one batched jet
     evaluation per segment (the path is known up front).  When every stage
@@ -312,7 +309,7 @@ def _transport_batch(model, B, segments, a, lam, mu, step, project=True):
 
         def step_fn(y):
             y = rk4_step(f, y, h)
-            return (hermitize(y[0], J),) + y[1:] if project else y
+            return (hermitize(y[0], J),) + y[1:]
 
         if not GAM.any() and (G == G[0]).all() and (XD == XD[0]).all():
             s, d = 0, J.shape[0]        # every step is the step from t = 0
@@ -324,46 +321,25 @@ def _transport_batch(model, B, segments, a, lam, mu, step, project=True):
     return a, lam, mu
 
 
-def transport(model, B, segments, state: ProlongedState, step=1e-3,
-              project=True, refine_tol=1e-8):
-    """Transport one prolonged state along a path (list of segments or a
-    single Path).
+def _stack(states):
+    """A list of ProlongedState as the (a, lambda, mu) batch arrays."""
+    return (np.stack([s.a for s in states]), np.stack([s.lam for s in states]),
+            np.array([s.mu for s in states]))
 
-    Linear in the state.  The step is halved until the endpoint moves by
-    less than ``refine_tol`` per unit length (pass None to integrate at the
-    fixed step, which the batched internal drivers do).
-    """
+
+def transport_states(model, B, segments, states, step=1e-3):
+    """Batched transport of a list of ProlongedState along the same path
+    (list of segments) at a fixed step."""
+    a, lam, mu = _transport_batch(model, B, segments, *_stack(states), step)
+    return [ProlongedState(a[i], lam[i], mu[i]) for i in range(len(states))]
+
+
+def transport(model, B, segments, state: ProlongedState, step=1e-3):
+    """Transport one prolonged state along a path (list of segments or a
+    single Path) at a fixed step: a batch of one.  Linear in the state."""
     if isinstance(segments, Path):
         segments = [segments]
-    a0 = state.a[None, :, :]
-    l0 = state.lam[None, :]
-    m0 = np.array([state.mu])
-
-    def run(h):
-        a, lam, mu = _transport_batch(model, B, segments, a0, l0, m0, h, project)
-        return a[0], lam[0], float(mu[0])
-
-    a, lam, mu = run(step)
-    if refine_tol is not None:
-        total_len = sum(s.length for s in segments)
-        for _ in range(6):
-            step = step / 2.0
-            a2, lam2, mu2 = run(step)
-            change = max(np.max(np.abs(a2 - a)), np.max(np.abs(lam2 - lam)),
-                         abs(mu2 - mu))
-            a, lam, mu = a2, lam2, mu2
-            if change <= refine_tol * max(total_len, 1e-12):
-                break
-    return ProlongedState(a, lam, mu)
-
-
-def transport_states(model, B, segments, states, step=1e-3, project=True):
-    """Batched transport of a list of ProlongedState along the same path."""
-    a = np.stack([s.a for s in states])
-    lam = np.stack([s.lam for s in states])
-    mu = np.array([s.mu for s in states])
-    a, lam, mu = _transport_batch(model, B, segments, a, lam, mu, step, project)
-    return [ProlongedState(a[i], lam[i], mu[i]) for i in range(len(states))]
+    return transport_states(model, B, segments, [state], step)[0]
 
 
 def frobenius_complete(model, B, point, state: ProlongedState, order):
@@ -437,10 +413,12 @@ class MobilityConfig:
 class MobilityReport:
     B: float
     dimension: int
-    basis: list
+    basis: list         # prolonged states at base_point
     constraint_history: list
     singular_values: list
     gap: float          # None where the rank has no cut (see degree_of_mobility)
+    base_point: object
+    stabilized: bool    # the rank stop rule fired before the batches ran out
     warning: str = None
     scope: str = "local mobility estimate"
 
@@ -465,35 +443,103 @@ def _int_cond_rows(gm, J, R, B, a_stack):
     return res.reshape(res.shape[0], -1).T
 
 
+def _constraint_rows(model, B, batch, start, states, step):
+    """Raw rows of one constraint batch on a batch of states (a, lambda, mu)
+    at the chart point ``start``, one column per state.
+
+    ``("point", x)``: the curvature condition at x, on the states carried
+    there along the line from ``start`` (not moved when x is ``start``).
+    ``("loop", segments)``: the closure defect around a loop from ``start``.
+    """
+    kind, payload = batch
+    if kind == "loop":
+        return (_pack(*_transport_batch(model, B, payload, *states, step))
+                - _pack(*states)).T
+    a = states[0]
+    if not np.array_equal(payload, start.coords):
+        seg = line_path(start.chart, start.coords, payload)
+        a = _transport_batch(model, B, [seg], *states, step)[0]
+    g = geom(model, model.point(payload, start.chart), 2)
+    return _int_cond_rows(g["g"].const, g["J"], riemann(g["gamma"]), B, a)
+
+
+def _canonical_basis(kernel):
+    """An orthonormal basis of the row space of ``kernel`` that depends on
+    the subspace only: Gram-Schmidt on the columns of its projector K^T K in
+    fiber-basis order, keeping residuals above 1/(2 sqrt N).  None of the
+    subspace is missed: a projector whose N columns are all that short has
+    trace at most 1/4."""
+    P = kernel.T @ kernel
+    out = np.zeros((0, P.shape[0]))
+    for col in P.T:
+        if len(out) == len(kernel):
+            break
+        for _ in range(2):          # Gram-Schmidt twice keeps it orthogonal
+            col = col - out.T @ (out @ col)
+        norm = np.linalg.norm(col)
+        if norm > 0.5 / np.sqrt(len(P)):
+            out = np.vstack([out, col / norm])
+    return out
+
+
+def _pencil_candidates(model, base_point):
+    """Candidate coupling constants, largest multiplicity first.
+
+    On hermitian a the curvature condition at the base point is affine in B,
+    rows(a) = L(a) - B T(a), so an admissible B is an eigenvalue of the
+    pencil (L, T), read off the least-squares map T^+ L.  That adds spurious
+    values (0 always: a = g is in the kernels of L and T), so the constraint
+    stream has to confirm each candidate."""
+    g = geom(model, base_point, 2)
+    gm, J = g["g"].const, g["J"]
+    herm = np.stack(hermitian_symmetric_basis(J))
+    L = _int_cond_rows(gm, J, riemann(g["gamma"]), 0.0, herm)
+    T = -_int_cond_rows(gm, J, np.zeros((gm.shape[0],) * 4), 1.0, herm)
+    w = np.linalg.eigvals(np.linalg.lstsq(T, L, rcond=None)[0])
+    real = np.sort(w.real[np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w.real))])
+    cuts = np.flatnonzero(np.diff(real) > 1e-8 * np.maximum(1.0, np.abs(real[1:])))
+    clusters = sorted(np.split(real, cuts + 1), key=len, reverse=True)  # ties by value
+    return [float(np.mean(c)) + 0.0 for c in clusters]    # + 0.0 turns -0.0 into 0.0
+
+
 def degree_of_mobility(model, B, base_point=None, config=None):
     """Estimate the dimension of the local solution space of the prolonged
-    system at a fixed coupling constant.
+    system at a coupling constant B.
 
     Starting from the full (n+1)^2-dimensional fiber, linear constraints are
-    imposed in batches: the curvature compatibility condition at the base
-    point, the same condition at transported sample points, and transport
-    consistency around closed loops.  Batches accumulate until the rank is
-    stable twice in a row; the kernel of the stacked constraint matrix is
-    returned as a basis of prolonged states at the base point.
+    imposed in batches (see ``_constraint_rows``): the curvature condition
+    at the base point and at transported sample points, and transport
+    closure around lattice, rectangle and random loops.  Batches accumulate
+    until the rank is the same three times in a row (``stabilized``); the
+    kernel of the stacked constraint matrix is returned as a basis of
+    prolonged states at the base point.
+
+    With B None, each candidate of the curvature pencil at the base point
+    is run in turn, largest multiplicity first, and the largest kernel is
+    kept; a candidate that keeps the whole fiber ends the search.
     """
     config = config or MobilityConfig()
     if base_point is None:
         base_point = model.point(np.zeros(model.dim))
     if B is None:
-        return _mobility_sweep(model, base_point, config)
+        best = None
+        for cand in _pencil_candidates(model, base_point):
+            rep = degree_of_mobility(model, cand, base_point, config)
+            if best is None or rep.dimension > best.dimension:
+                best = rep
+            if best.dimension == fiber_dimension(model.n):
+                break
+        tag = "B chosen by sweep over the curvature pencil"
+        best.warning = f"{best.warning}; {tag}" if best.warning else tag
+        return best
     rng = np.random.default_rng(config.seed)
     d = model.dim
     basis = fiber_basis(model)
     N = len(basis)
-    a0 = np.stack([s.a for s in basis])
-    l0 = np.stack([s.lam for s in basis])
-    m0 = np.array([s.mu for s in basis])
-    packed0 = _pack(a0, l0, m0)
-    g = geom(model, base_point, 2)
-    gm, J = g["g"].const, g["J"]
+    states = _stack(basis)
 
     # constraint batch stream
-    batches = [("int_cond_base", None)]
+    batches = [("point", base_point.coords)]
     for loop in lattice_loops(model, base_point):
         batches.append(("loop", loop))
     plane_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -505,14 +551,8 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     point_queue = [("point", base_point.coords + rng.uniform(-0.25, 0.25, d))
                    for _ in range(config.n_transport_points)]
     # interleave plane loops with transported-point conditions
-    mixed = []
-    qa, qb = planes_queue, point_queue
-    while qa or qb:
-        if qa:
-            mixed.append(qa.pop(0))
-        if qb:
-            mixed.append(qb.pop(0))
-    batches.extend(mixed)
+    for pair in zip_longest(planes_queue, point_queue):
+        batches.extend(b for b in pair if b is not None)
     for _ in range(config.n_random_loops):
         batches.append(("loop", fourier_loop(base_point.chart, base_point.coords,
                                              rng, radius=config.loop_side / 2)))
@@ -520,48 +560,28 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     rows = []
     history = []
     sv = np.array([])
-    rank = 0
-    warning = None
-
-    def current_rank():
-        nonlocal sv
-        if not rows:
-            sv = np.array([])
-            return 0
-        M = np.concatenate(rows, axis=0)
-        sv = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(sv > config.svd_tol * sv[0]))
-
-    def add_rows(raw):
+    rank = stable = 0
+    stabilized = False
+    for batch in batches[:config.max_batches]:
+        raw = _constraint_rows(model, B, batch, base_point, states, config.step)
         norms = np.linalg.norm(raw, axis=1)
         keep = norms > config.row_floor
         if np.any(keep):
             rows.append(raw[keep] / norms[keep, None])
-
-    stable = 0
-    for kind, payload in batches[:config.max_batches]:
-        if kind == "int_cond_base":
-            add_rows(_int_cond_rows(gm, J, riemann(g["gamma"]), B, a0))
-        elif kind == "point":
-            seg = line_path(base_point.chart, base_point.coords, payload)
-            at, lt, mt = _transport_batch(model, B, [seg], a0, l0, m0, config.step)
-            pt = model.point(payload, base_point.chart)
-            gp = geom(model, pt, 2)
-            add_rows(_int_cond_rows(gp["g"].const, gp["J"], riemann(gp["gamma"]), B, at))
-        else:  # loop
-            at, lt, mt = _transport_batch(model, B, payload, a0, l0, m0, config.step)
-            add_rows((_pack(at, lt, mt) - packed0).T)
-        new_rank = current_rank()
+        if rows:
+            sv = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
+        new_rank = int(np.sum(sv > config.svd_tol * sv[0])) if rows else 0
         history.append(new_rank)
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank
         if stable >= 2 and len(history) >= 3:
+            stabilized = True
             break
-    else:
-        if len(batches) > config.max_batches:
-            warning = "constraint batches truncated at max_batches"
-    if len(history) >= 2 and history[-1] != history[-2]:
-        warning = "rank did not stabilize over the configured batches"
+    warning = None
+    if not stabilized:
+        warning = ("constraint batches truncated at max_batches"
+                   if len(batches) > config.max_batches
+                   else "rank did not stabilize over the configured batches")
 
     dim = N - rank
     if rows:
@@ -575,25 +595,25 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     # the ratio across the rank cut; undefined (None) at rank 0 or full rank
     gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) and s[rank] > 0 else None
 
-    states = []
-    for row in kernel:
-        a = np.einsum("n,nij->ij", row, a0)
-        lam = row @ l0
-        mu = float(row @ m0)
-        states.append(ProlongedState(a, lam, mu).projected(J))
-    return MobilityReport(B=B, dimension=dim, basis=states,
+    coef = _canonical_basis(kernel)
+    J = model.j_matrix(base_point.chart)
+    basis = [ProlongedState(np.einsum("n,nij->ij", row, states[0]), row @ states[1],
+                            float(row @ states[2])).projected(J) for row in coef]
+    return MobilityReport(B=B, dimension=dim, basis=basis,
                           constraint_history=history,
                           singular_values=[float(x) for x in sv],
-                          gap=gap, warning=warning)
+                          gap=gap, base_point=base_point, stabilized=stabilized,
+                          warning=warning)
 
 
 def mobility_basis_grid(model, report: MobilityReport, points, step=2e-3):
-    """Kernel basis states transported onto a sample grid, JSON-ready."""
-    base = model.point(np.zeros(model.dim))
+    """Kernel basis states transported from the report's base point onto
+    sample points (coordinates in its chart), JSON-ready."""
+    base = report.base_point
     grid = []
     for x in points:
-        pt = model.point(np.asarray(x, dtype=float))
-        seg = line_path(pt.chart, base.coords, pt.coords)
+        pt = model.point(x, base.chart)
+        seg = line_path(base.chart, base.coords, pt.coords)
         if seg.length == 0.0:
             states = report.basis
         else:
@@ -603,53 +623,29 @@ def mobility_basis_grid(model, report: MobilityReport, points, step=2e-3):
     return grid
 
 
-def kernel_verification(model, report: MobilityReport, points, step=2e-3):
-    """Re-verify mobility kernel elements as genuine solutions at fresh points.
-
-    All basis states ride one batched transport per point; jets at the
-    endpoint come from the algebraic completion.  Returns the worst
-    first-order and prolonged-system residuals over (state, point) pairs,
-    and the max |lambda| component seen (useful for the flat cases).
-    """
-    from .hproj import ExplicitSolution
-    base = model.point(np.zeros(model.dim))
-    worst_hpr = 0.0
-    worst_ext = 0.0
-    lam_max = 0.0
-    for x in points:
-        pt = model.point(np.asarray(x, dtype=float))
-        seg = line_path(pt.chart, base.coords, pt.coords)
-        states = transport_states(model, report.B, [seg], report.basis, step=step)
-        for st in states:
-            lam_max = max(lam_max, float(np.max(np.abs(st.lam))))
-            a_jet, lam_jet, mu_jet = frobenius_complete(model, report.B, pt, st, 1)
-            sol = ExplicitSolution(
-                model,
-                a_builder=lambda p, order, j=a_jet: j.truncate(order),
-                lam_builder=lambda p, order, j=lam_jet: j.truncate(order),
-                mu_builder=lambda p, order, j=mu_jet: j.truncate(order),
-                B=report.B)
-            r1, r2, r3 = extended_residual(model, sol, pt)    # r1 is hpr_residual
-            worst_hpr = max(worst_hpr, float(np.max(np.abs(r1))))
-            worst_ext = max(worst_ext, worst_hpr,
-                            float(np.max(np.abs(r2))), float(np.max(np.abs(r3))))
-    return {"hpr": worst_hpr, "extended": worst_ext, "lambda_max": lam_max}
-
-
-_PROVISIONAL_B = (0.0, 1.0, -1.0, 0.25, -0.25)
-
-
-def _mobility_sweep(model, base_point, config):
-    """Unknown B: run the provisional set and keep the constant that admits
-    the largest local solution space."""
-    best = None
-    for Bp in _PROVISIONAL_B:
-        rep = degree_of_mobility(model, Bp, base_point, config)
-        if best is None or rep.dimension > best.dimension:
-            best = rep
-    tag = "B chosen by sweep"
-    best.warning = f"{best.warning}; {tag}" if best.warning else tag
-    return best
+def kernel_certificate(model, B, base_point, states, points, step=2e-3):
+    """Worst raw residual of prolonged states at ``base_point`` on fresh
+    batches of the rows ``degree_of_mobility`` builds its kernel from: the
+    curvature condition at each point after transport from the base point
+    and, on a periodic model, closure around one lattice loop from there
+    (direction k mod d at the k-th point).  Nothing is completed from the
+    system under test, so a wrong kernel fails: the full fiber of FS n = 2
+    or of a flat 2-torus at B = 0 scores above 1."""
+    if not states:
+        return 0.0
+    states = _stack(states)
+    worst = 0.0
+    for k, x in enumerate(points):
+        pt = model.point(x, base_point.chart)
+        seg = line_path(pt.chart, base_point.coords, pt.coords)
+        moved = _transport_batch(model, B, [seg], *states, step)
+        batches = [("point", pt.coords)]
+        if model.periods is not None:
+            batches.append(("loop", lattice_loops(model, pt)[k % model.dim]))
+        for batch in batches:
+            rows = _constraint_rows(model, B, batch, pt, moved, step)
+            worst = max(worst, float(np.max(np.abs(rows))))
+    return worst
 
 
 # -- third-order scalar equation ---------------------------------------------

@@ -108,6 +108,18 @@ def test_mobility_cli_sweep(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_mobility_cli_sweep_finds_fs_constant(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    code = _run(["mobility", "--model", "fs", "--n", "2", "--B", "sweep",
+                 "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert abs(rep["B"] + 0.25) <= 1e-9
+    assert rep["dimension"] == 9
+    assert all(c["pass"] for c in rep["checks"])     # rank_stabilized, kernel_reverify
+    assert code == 0
+    capsys.readouterr()
+
+
 def test_report_merge(tmp_path, capsys):
     r1 = tmp_path / "r1.json"
     code = _run(["verify-kahler", "--model", "flat", "--n", "2",

@@ -6,14 +6,14 @@ from kahlerlab.errors import (DegenerateMetricError, InvalidInputError,
 from kahlerlab.geometry import riemann
 from kahlerlab.hproj import ExplicitSolution, TrivialSolution, geom
 from kahlerlab.jets import Jet, jet_space
-from kahlerlab.models import flat_torus, product_model
+from kahlerlab.models import flat_torus, fubini_study, product_model, rescale_model
 from kahlerlab import prolongation
 from kahlerlab.prolongation import (MobilityConfig, Path, ProlongedState,
                                     TannoSolution, constant_curvature_tensor,
                                     curvature_B_condition, degree_of_mobility,
                                     estimate_B, extended_residual, fiber_basis,
                                     fourier_loop, frobenius_complete,
-                                    kernel_verification, lattice_loops,
+                                    kernel_certificate, lattice_loops,
                                     laplace_identity_residual, line_path,
                                     rectangle_loop, signature, tanno_residual,
                                     transport, transport_states)
@@ -183,12 +183,8 @@ def test_transport_path_independence(fs2, pair_sol, rng):
         assert abs(direct.mu - via.mu) < 1e-5
 
 
-def test_transport_refinement_and_domain_error(fs2, rng):
+def test_transport_domain_error(fs2, rng):
     st = ProlongedState(fs2.metric_at(fs2.point(np.zeros(4))), np.zeros(4), 0.25)
-    out = transport(fs2, -0.25, line_path("c0", np.zeros(4), np.full(4, 0.3)),
-                    st, step=0.05, refine_tol=1e-8)
-    tgt = fs2.point(np.full(4, 0.3))
-    assert np.max(np.abs(out.a - fs2.metric_at(tgt))) < 1e-8
     with pytest.raises(OutOfDomainError):
         transport(fs2, -0.25, line_path("c0", np.zeros(4), np.full(4, 9.0)),
                   st, step=0.05)
@@ -222,18 +218,94 @@ def test_mobility_flat_torus(torus2, rng):
     for st in report.basis:
         assert np.max(np.abs(st.lam)) < 1e-8
         assert abs(st.mu) < 1e-8
-    ver = kernel_verification(torus2, report,
-                              [rng.uniform(-0.3, 0.3, 4) for _ in range(3)])
-    assert ver["hpr"] < 1e-8 and ver["extended"] < 1e-8
-    assert ver["lambda_max"] < 1e-8
+    _assert_certified(torus2, report, rng)
 
 
-def test_mobility_sweep_picks_zero_for_torus(torus2):
+def test_mobility_sweep_picks_zero_for_torus(torus2, rng):
     cfg = MobilityConfig(step=5e-3)
     report = degree_of_mobility(torus2, None, torus2.point(np.zeros(4)), cfg)
     assert report.B == 0.0
     assert report.dimension == 4
     assert "sweep" in report.warning
+    _assert_certified(torus2, report, rng)
+
+
+def _assert_certified(model, report, rng, count=2):
+    fresh = [report.base_point.coords + rng.uniform(-0.2, 0.2, model.dim)
+             for _ in range(count)]
+    cert = kernel_certificate(model, report.B, report.base_point, report.basis, fresh)
+    assert cert <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["fs2", "torus2"])
+def test_certificate_rejects_the_full_fiber_at_B_zero(name, fs2, torus2, rng):
+    # the true dimension at B = 0 is 1 on FS n = 2 and 4 on the torus
+    model = {"fs2": fs2, "torus2": torus2}[name]
+    base = model.point(np.zeros(4))
+    fresh = [rng.uniform(-0.2, 0.2, 4) for _ in range(3)]
+    assert kernel_certificate(model, 0.0, base, fiber_basis(model), fresh) > 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [2.0, -3.0])
+def test_sweep_finds_B_of_rescaled_fs(n, c):
+    # c g has constant holomorphic curvature with B = -1/(4c); the old
+    # five-value sweep returned dimension 1 at B = 0 here
+    model = rescale_model(fubini_study(n), c)
+    report = degree_of_mobility(model, None)
+    assert report.dimension == (n + 1) ** 2
+    assert abs(report.B + 1.0 / (4.0 * c)) <= 1e-9
+    assert report.stabilized and "sweep" in report.warning
+
+
+@pytest.mark.parametrize("name", ["fs2", "torus2"])
+@pytest.mark.parametrize("c", [2.0, -3.0])
+def test_rescaling_maps_B_to_B_over_c(name, c, fs2, torus2):
+    model = {"fs2": fs2, "torus2": torus2}[name]
+    cfg = MobilityConfig(step=5e-3)
+    ref = degree_of_mobility(model, None, config=cfg)
+    scaled = degree_of_mobility(rescale_model(model, c), None, config=cfg)
+    assert scaled.dimension == ref.dimension
+    assert abs(scaled.B - ref.B / c) <= 1e-9
+
+
+def test_truncated_stream_is_not_stabilized(torus2):
+    report = degree_of_mobility(torus2, 0.0, config=MobilityConfig(max_batches=2))
+    assert report.stabilized is False
+    assert len(report.constraint_history) == 2
+    assert "truncated" in report.warning
+
+
+def test_basis_grid_and_certificate_start_at_the_base_point(fs2, rng):
+    cfg = MobilityConfig(step=2e-3, loop_side=0.2)
+    base = fs2.point(np.array([0.15, -0.1, 0.05, 0.2]))
+    report = degree_of_mobility(fs2, -0.25, base, cfg)
+    assert report.base_point is base
+    grid = prolongation.mobility_basis_grid(fs2, report, [base.coords])
+    assert grid[0]["states"] == [s.to_dict() for s in report.basis]
+    _assert_certified(fs2, report, rng)
+
+
+def test_kernel_basis_ignores_row_order(torus2, monkeypatch):
+    # the torus kernel is degenerate: an SVD basis of it moves at O(1) when
+    # the constraint rows come in another order, the reported basis must not
+    report = degree_of_mobility(torus2, 0.0)
+    rows = prolongation._constraint_rows
+    monkeypatch.setattr(prolongation, "_constraint_rows",
+                        lambda *args: rows(*args)[::-1])
+    reversed_rows = degree_of_mobility(torus2, 0.0)
+    assert reversed_rows.constraint_history == report.constraint_history
+    for s, t in zip(report.basis, reversed_rows.basis):
+        assert np.max(np.abs(s.pack() - t.pack())) <= 1e-12
+
+
+def test_canonical_basis_depends_on_the_subspace_only(rng):
+    kernel = np.linalg.qr(rng.normal(size=(25, 6)))[0].T
+    rotation = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    basis = prolongation._canonical_basis(kernel)
+    assert np.max(np.abs(basis @ basis.T - np.eye(6))) <= 1e-14
+    assert np.max(np.abs(basis.T @ basis - kernel.T @ kernel)) <= 1e-14
+    assert np.max(np.abs(prolongation._canonical_basis(rotation @ kernel) - basis)) <= 1e-12
 
 
 def test_mobility_fs_off_origin_base(fs2):
@@ -245,12 +317,13 @@ def test_mobility_fs_off_origin_base(fs2):
     assert report.warning is None
 
 
-def test_mobility_pullback_model(ga_diag):
+def test_mobility_pullback_model(ga_diag, rng):
     # the pullback metric is isometric to the projective one (pullback by a
     # biholomorphism), so it has the same constant and the same full kernel
     cfg = MobilityConfig(step=2e-3, loop_side=0.2)
     report = degree_of_mobility(ga_diag, -0.25, ga_diag.point(np.zeros(4)), cfg)
     assert report.dimension == 9
+    _assert_certified(ga_diag, report, rng)
 
 
 def test_mobility_anisotropic_torus(rng):
@@ -260,9 +333,10 @@ def test_mobility_anisotropic_torus(rng):
                                 MobilityConfig(step=5e-3))
     assert report.dimension == 4
     assert all(np.max(np.abs(s.lam)) < 1e-8 for s in report.basis)
+    _assert_certified(tor, report, rng)
 
 
-def test_mobility_cp3_attains_fiber_bound():
+def test_mobility_cp3_attains_fiber_bound(rng):
     # dimension-independence of the rank procedure: (n+1)^2 = 16 on CP(3)
     from kahlerlab.models import fubini_study
     fs3 = fubini_study(3)
@@ -270,6 +344,7 @@ def test_mobility_cp3_attains_fiber_bound():
                          n_transport_points=2)
     report = degree_of_mobility(fs3, -0.25, fs3.point(np.zeros(6)), cfg)
     assert report.dimension == 16
+    _assert_certified(fs3, report, rng)
 
 
 def test_lattice_and_rectangle_loops(torus2):
@@ -369,7 +444,7 @@ def _fs_products():
 
 
 @pytest.mark.parametrize("name", ["fs_x_flat", "fs_x_fs"])
-def test_mobility_product_with_curved_factor(name):
+def test_mobility_product_with_curved_factor(name, rng):
     # (a, lambda, mu) = (g, 0, -B) solves the prolonged system on every
     # model (g is parallel), so it must lie in the returned kernel; at
     # B != 0 a product has no other solution
@@ -384,6 +459,7 @@ def test_mobility_product_with_curved_factor(name):
     v = ProlongedState(model.metric_at(base), np.zeros(8), -B).pack()
     coef, *_ = np.linalg.lstsq(K.T, v, rcond=None)
     assert np.linalg.norm(K.T @ coef - v) < 1e-10 * np.linalg.norm(v)
+    _assert_certified(model, report, rng)
 
 
 @pytest.mark.parametrize("name", ["fs_x_flat", "fs_x_fs"])
@@ -420,7 +496,7 @@ def _tori3():
     return product_model([flat_torus(2, 1.0) for _ in range(3)])
 
 
-def _stepwise(model, B, segments, a, lam, mu, step, project=True):
+def _stepwise(model, B, segments, a, lam, mu, step):
     """Reference transport: one RK4 step after another, geometry at every stage."""
     J = model.j_matrix(segments[0].chart)
     for seg in segments:
@@ -433,8 +509,7 @@ def _stepwise(model, B, segments, a, lam, mu, step, project=True):
                 i = 2 * s + int(2 * c)
                 return prolongation._rhs(G[i], J, GAM[i], XD[i], B, *y)
             a, lam, mu = prolongation.rk4_step(f, (a, lam, mu), h)
-            if project:
-                a = hermitize(a, J)
+            a = hermitize(a, J)
     return a, lam, mu
 
 
@@ -452,21 +527,24 @@ def test_rhs_matches_einsum_oracle(d, batch, rng):
 
 
 @pytest.mark.parametrize("name,B", [("torus", 0.0), ("tori3", 0.0), ("flat", -0.25)])
-@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("raw", [True, False])
 @pytest.mark.parametrize("batch", [1, "N"])
-def test_squared_transport_matches_stepwise(name, B, project, batch, flat2, torus2, rng):
-    # constant metric, straight segments: the step map raised by squaring
+def test_squared_transport_matches_stepwise(name, B, raw, batch, flat2, torus2, rng):
+    # constant metric, straight segments: the step map raised by squaring,
+    # on raw states (not hermitian, so that the projection after each step
+    # shows) and on hermitian ones, as every caller passes
     model = {"torus": torus2, "tori3": _tori3(), "flat": flat2}[name]
     base = np.zeros(model.dim)
     segments = [line_path("c0", base, rng.uniform(-0.4, 0.4, model.dim))]
     if model.periods is not None:
         segments += lattice_loops(model, model.point(segments[0](1.0)[0]))[0]
     N = 1 if batch == 1 else len(fiber_basis(model))
-    # not hermitian, so that the projection after each step shows
     a, lam, mu = (rng.normal(size=(N, model.dim, model.dim)),
                   rng.normal(size=(N, model.dim)), rng.normal(size=N))
-    got = prolongation._transport_batch(model, B, segments, a, lam, mu, 2e-3, project)
-    ref = _stepwise(model, B, segments, a, lam, mu, 2e-3, project)
+    if not raw:
+        a = hermitize(a, model.j_matrix())
+    got = prolongation._transport_batch(model, B, segments, a, lam, mu, 2e-3)
+    ref = _stepwise(model, B, segments, a, lam, mu, 2e-3)
     scale = max(np.max(np.abs(r)) for r in ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -479,15 +557,15 @@ def test_only_constant_segments_are_squared(fs2, flat2, monkeypatch):
     monkeypatch.setattr(prolongation, "_rhs", lambda *args: calls.append(1) or rhs(*args))
     st = fiber_basis(fs2)[0]
     seg = line_path("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
-    transport(fs2, -0.25, seg, st, step=0.05, refine_tol=None)
+    transport(fs2, -0.25, seg, st, step=0.05)
     assert len(calls) == 4 * int(np.ceil(seg.length / 0.05))     # every step of FS
     calls.clear()
-    transport(flat2, -0.25, seg, st, step=0.05, refine_tol=None)
+    transport(flat2, -0.25, seg, st, step=0.05)
     assert len(calls) == 4                                        # one step of the identity
 
 
 @pytest.mark.parametrize("name", ["torus", "tori3"])
-def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch):
+def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch, rng):
     model = torus2 if name == "torus" else _tori3()
     base = model.point(np.zeros(model.dim))
 
@@ -496,6 +574,7 @@ def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch):
         return q @ q.T
 
     squared = degree_of_mobility(model, 0.0, base)
+    _assert_certified(model, squared, rng)
     monkeypatch.setattr(prolongation, "_transport_batch", _stepwise)
     stepwise = degree_of_mobility(model, 0.0, base)
     assert squared.dimension == stepwise.dimension == model.n ** 2
@@ -510,4 +589,4 @@ def test_transport_domain_checked_at_every_stage(fs2):
                                  18.0 * np.pi * np.cos(2 * np.pi * t) * e0), 1.0)
     st = fiber_basis(fs2)[0]
     with pytest.raises(OutOfDomainError):
-        transport(fs2, -0.25, bump, st, step=0.05, refine_tol=None)
+        transport(fs2, -0.25, bump, st, step=0.05)
