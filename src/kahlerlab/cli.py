@@ -19,8 +19,7 @@ from .errors import ConfigError, InvalidInputError, KahlerLabError
 from .geometry import cov_step_jet, riemann, riemann_symmetry_residuals
 from .hproj import (PairSolution, c_identity_check, geom, hpr_residual,
                     lambda_least_squares, lambda_scalar_field)
-from .models import (complex_matrix_from_pairs, flat_model, flat_torus,
-                     fubini_study, model_from_descriptor, pullback_fs)
+from .models import fubini_study, model_from_descriptor, pullback_fs
 from .prolongation import (MobilityConfig, TannoSolution, degree_of_mobility,
                            estimate_B, extended_residual, kernel_certificate,
                            laplace_identity_residual, mobility_basis_grid,
@@ -51,43 +50,35 @@ def check(name, value, tol, invert=False):
 
 
 def _model_from_args(args):
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if "model" in cfg:
-            return model_from_descriptor(cfg["model"])
-    kind = args.model
-    if kind == "flat":
-        return flat_model(args.n, args.diag)
-    if kind == "fs":
-        return fubini_study(args.n, args.chart_index)
-    if kind == "torus":
-        return flat_torus(args.n, args.periods if args.periods else 1.0)
-    if kind == "pullback":
-        if not args.A_file:
-            raise ConfigError("pullback model needs --A-file")
-        return pullback_fs(_read_matrix(args.A_file), args.chart_index)
-    if kind == "product":
-        raise ConfigError("product models are configured via --config (kind, factors, weights)")
-    raise ConfigError(f"unknown model {kind!r}")
+    """The model of a config file's ``model`` object, else of the model flags:
+    either way one descriptor, built by ``model_from_descriptor``."""
+    if isinstance(args.model, dict):
+        return model_from_descriptor(args.model)
+    desc = {"kind": args.model, "n": args.n, "chart_index": args.chart_index,
+            "diag": args.diag, "periods": args.periods,
+            "A": _read_json(args.A_file) if args.A_file else None}
+    return model_from_descriptor({k: v for k, v in desc.items() if v is not None})
 
 
-def _read_matrix(path):
+def _read_json(path):
     with open(path) as fh:
-        rows = json.load(fh)
-    try:
-        return complex_matrix_from_pairs(rows)
-    except Exception as exc:
-        raise ConfigError(f"matrix file {path}: expected row-major [re, im] pairs ({exc})")
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not JSON ({exc})") from None
+
+
+def _pullback(args, path):
+    """The pullback model of the matrix file at ``path``, in --chart-index."""
+    return model_from_descriptor({"kind": "pullback", "A": _read_json(path),
+                                  "chart_index": args.chart_index})
 
 
 def _pair_solution(args):
     """(g, gbar) pair: the projective model and a linear pullback of it."""
-    if args.n < 2:
-        raise ConfigError("pair scenarios need n >= 2")
     g_model = fubini_study(args.n, args.chart_index)
-    A = _read_matrix(args.A_file) if args.A_file else np.diag([2.0] + [1.0] * args.n)
-    gbar = pullback_fs(A, args.chart_index)
+    gbar = (_pullback(args, args.A_file) if args.A_file else
+            pullback_fs(np.diag([2.0] + [1.0] * args.n), args.chart_index))
     return g_model, PairSolution(g_model, gbar)
 
 
@@ -156,8 +147,7 @@ def run_hpr_check(args, rng):
             json.dump(payload, fh, indent=2, sort_keys=True)
         artifacts.append(args.dump_solution)
     if args.A2_file:
-        gbar2 = pullback_fs(_read_matrix(args.A2_file), args.chart_index)
-        sol2 = PairSolution(g_model, gbar2)
+        sol2 = PairSolution(g_model, _pullback(args, args.A2_file))
         worst_c = max(c_identity_check(g_model, sol, sol2, p) for p in pts[:10])
         checks.append(check("c_identity", worst_c, 1e-6))
     return g_model, checks, artifacts, extra
@@ -321,10 +311,8 @@ def run_hplanar(args, rng):
             dfc[2:len(c) - 2] = curvemod.hplanarity_defect(model, c)
             c.export_csv(path, extras={"defect": dfc, "deviation": dev})
             artifacts.append(path)
-    if args.A_file and args.model == "fs":
-        gbar = pullback_fs(_read_matrix(args.A_file), args.chart_index)
-        sol = PairSolution(model, gbar)
-        vf = lambda pt: sol.lambda_bar_vector_at(pt)
+    if args.A_file and model.kind == "fs":
+        vf = PairSolution(model, _pullback(args, args.A_file)).lambda_bar_vector_at
         k = min(5, count)
         geos = curvemod.integrate_hplanar_batch(model, x0s[:k], v0s[:k],
                                                 [0.0] * k, [0.0] * k, 1.0, 2e-3)
@@ -334,17 +322,14 @@ def run_hplanar(args, rng):
 
 
 def run_report_merge(args, rng):
-    merged = {"version": __version__, "scenario": "report-merge", "model": None,
-              "seed": args.seed, "checks": [], "artifacts": []}
+    checks, artifacts = [], []
     for path in args.inputs:
         with open(path) as fh:
             rep = json.load(fh)
         for c in rep.get("checks", []):
-            c = dict(c)
-            c["name"] = f"{rep.get('scenario', 'unknown')}.{c['name']}"
-            merged["checks"].append(c)
-        merged["artifacts"].extend(rep.get("artifacts", []))
-    return None, merged["checks"], merged["artifacts"]
+            checks.append({**c, "name": f"{rep.get('scenario', 'unknown')}.{c['name']}"})
+        artifacts.extend(rep.get("artifacts", []))
+    return None, checks, artifacts
 
 
 RUNNERS = {
@@ -368,7 +353,9 @@ def _float_or_sweep(text):
         raise argparse.ArgumentTypeError(f"expected a float or 'sweep', got {text!r}")
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The CLI parser; ``defaults`` (a config file's values) replace the
+    scenario flags' own defaults."""
     parser = argparse.ArgumentParser(
         prog="kahlerlab",
         description="scenario runner for the Kähler-geometry verification suites")
@@ -408,28 +395,34 @@ def build_parser():
         if name == "hpr-check":
             p.add_argument("--dump-solution", dest="dump_solution", default=None,
                            help="write the solution grid (JSON) to this path")
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
-_CONFIG_FLAGS = ("seed", "tol", "samples", "step", "B", "n", "chart_index",
-                 "expect_dim", "verify_basis", "csv_dir", "model", "A_file",
-                 "A2_file", "diag", "periods", "out", "dump_solution")
+def _check_sizes(samples, step):
+    """Refuse a sample count below 1 or a step <= 0.  Config values are checked
+    as written, before argparse converts string defaults."""
+    if not isinstance(samples, int) or samples < 1:
+        raise ConfigError(f"samples must be an integer >= 1, got {samples!r}")
+    if step is not None and not (isinstance(step, (int, float)) and step > 0):
+        raise ConfigError(f"step must be a positive number, got {step!r}")
 
 
 def _apply_config(args, argv):
-    """Config-file values act as defaults; explicit flags win."""
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    given = set()
-    for tok in argv or []:
-        if tok.startswith("--"):
-            given.add(tok[2:].split("=")[0].replace("-", "_"))
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr == "model" and isinstance(value, dict):
-            continue  # consumed by _model_from_args
-        if attr in _CONFIG_FLAGS and attr not in given and hasattr(args, attr):
-            setattr(args, attr, value)
+    """Config-file values become the scenario flags' defaults and argv is
+    parsed again, so a flag in any form argparse accepts beats the file.  A
+    ``model`` object is a descriptor; it replaces the model flags."""
+    cfg = _read_json(args.config)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.config}: expected a JSON object")
+    cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
+    own = set(vars(args)) - {"scenario", "config"}
+    defaults = {key: value for key, value in cfg.items()
+                if key in own and not (key == "model" and isinstance(value, dict))}
+    _check_sizes(defaults.get("samples", 1), defaults.get("step"))
+    args = build_parser(defaults).parse_args(argv)
+    if isinstance(cfg.get("model"), dict):
+        args.model = cfg["model"]
     return args
 
 
@@ -447,13 +440,8 @@ def main(argv=None):
     runner = RUNNERS[args.scenario]
     try:
         if getattr(args, "config", None) and args.scenario != "report-merge":
-            args = _apply_config(args, argv if argv is not None else sys.argv[1:])
-        # config-file values bypass argparse's type checks
-        if not isinstance(args.samples, int) or args.samples < 1:
-            raise ConfigError(f"samples must be an integer >= 1, got {args.samples!r}")
-        if args.step is not None and not (isinstance(args.step, (int, float))
-                                          and args.step > 0):
-            raise ConfigError(f"step must be a positive number, got {args.step!r}")
+            args = _apply_config(args, argv)
+        _check_sizes(args.samples, args.step)
         rng = np.random.default_rng(args.seed)
         out = runner(args, rng)
     except (ConfigError, FileNotFoundError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OutOfDomainError, UnsupportedModelError
-from .models import ChartPoint
+from .models import ChartPoint, homogeneous_map, standard_J
 from .prolongation import _geo_floats_batch, rk4_step
 
 
@@ -192,18 +192,16 @@ _GEOMETRY_BLOCK = 128
 
 def _geometry_along(model, curve, idxs):
     """Metric and connection at selected samples, batched chart by chart in
-    blocks of ``_GEOMETRY_BLOCK`` samples: two lists aligned with ``idxs``."""
-    gms, gammas = [None] * len(idxs), [None] * len(idxs)
-    by_chart = {}
-    for pos, idx in enumerate(idxs):
-        by_chart.setdefault(curve.points[idx].chart, []).append((pos, idx))
-    for chart, items in by_chart.items():
-        for lo in range(0, len(items), _GEOMETRY_BLOCK):
-            block = items[lo:lo + _GEOMETRY_BLOCK]
-            X = np.stack([curve.points[idx].coords for _, idx in block])
-            G, GAM = _geo_floats_batch(model, chart, X)
-            for (pos, _), gm, gam in zip(block, G, GAM):
-                gms[pos], gammas[pos] = gm, gam
+    blocks of ``_GEOMETRY_BLOCK`` samples: two arrays aligned with ``idxs``."""
+    charts = np.array([curve.points[idx].chart for idx in idxs])
+    X = np.stack([curve.points[idx].coords for idx in idxs])
+    d = X.shape[1]
+    gms, gammas = np.empty((len(idxs), d, d)), np.empty((len(idxs), d, d, d))
+    for chart in np.unique(charts):
+        pos = np.flatnonzero(charts == chart)
+        for lo in range(0, len(pos), _GEOMETRY_BLOCK):
+            block = pos[lo:lo + _GEOMETRY_BLOCK]
+            gms[block], gammas[block] = _geo_floats_batch(model, str(chart), X[block])
     return gms, gammas
 
 
@@ -224,6 +222,15 @@ def _accelerations(model, curve):
     return out
 
 
+def _defects(model, curve, accels):
+    """The wedge defect at samples 2..len-3 of the given accelerations, NaN
+    where there is none."""
+    return np.array([np.nan if accel is None else
+                     _wedge_defect(accel, curve.velocities[idx],
+                                   model.j_matrix(curve.points[idx].chart))
+                     for idx, accel in enumerate(accels, start=2)])
+
+
 def hplanarity_defect(model, curve):
     """Per-sample planarity defect: the smallest singular value of the
     column-normalized matrix [acc | v | Jv], where the acceleration is
@@ -232,25 +239,7 @@ def hplanarity_defect(model, curve):
     """
     if len(curve) < 5:
         raise InvalidInputError("defect needs at least 5 samples")
-    return np.array([np.nan if accel is None else
-                     _wedge_defect(accel, curve.velocities[idx],
-                                   model.j_matrix(curve.points[idx].chart))
-                     for idx, accel in enumerate(_accelerations(model, curve), start=2)])
-
-
-def _homogeneous_lift(model, pt):
-    n = model.n
-    k = int(pt.chart[1:])
-    z = [complex(pt.coords[2 * i], pt.coords[2 * i + 1]) for i in range(n)]
-    hom = np.empty(n + 1, dtype=complex)
-    ptr = 0
-    for m in range(n + 1):
-        if m == k:
-            hom[m] = 1.0
-        else:
-            hom[m] = z[ptr]
-            ptr += 1
-    return hom / np.linalg.norm(hom)
+    return _defects(model, curve, _accelerations(model, curve))
 
 
 LINE_KINDS = ("flat", "fs", "pullback")
@@ -268,38 +257,33 @@ def line_deviation(model, curve, x0: ChartPoint, v0, per_sample=False):
 
     Flat models: euclidean distance from the real 2-plane through x0
     spanned by {v0, J v0}.  Projective models (including pullbacks): the
-    samples are lifted to normalized homogeneous coordinates and measured
-    against the complex 2-plane spanned by the lifts of (x0, v0).
-    Returns the max over samples, or the per-sample array when asked.
+    samples are lifted to normalized realified homogeneous coordinates, one
+    chart at a time, and measured against the complex 2-plane (J acting as
+    multiplication by i) spanned by the lifts of (x0, v0).  Returns the max
+    over samples, or the per-sample array when asked.
     """
     check_line_notion(model)
     v0 = np.asarray(v0, dtype=float)
     if model.kind == "flat":
-        J = model.j_matrix(x0.chart)
-        basis = np.stack([v0, J @ v0], axis=1)
-        q, _ = np.linalg.qr(basis)
-        vals = []
-        for pt in curve.points:
-            dx = pt.coords - x0.coords
-            vals.append(float(np.linalg.norm(dx - q @ (q.T @ dx))))
+        def lift(chart, X):
+            return X - x0.coords
+        span = [v0]
     else:
-        n = model.n
-        k = int(x0.chart[1:])
-        h0 = _homogeneous_lift(model, x0)
-        dv = np.zeros(n + 1, dtype=complex)
-        ptr = 0
-        for m in range(n + 1):
-            if m == k:
-                continue
-            dv[m] = complex(v0[2 * ptr], v0[2 * ptr + 1])
-            ptr += 1
-        span = np.stack([h0, dv], axis=1)
-        q, _ = np.linalg.qr(span)
-        vals = []
-        for pt in curve.points:
-            w = _homogeneous_lift(model, pt)
-            vals.append(float(np.linalg.norm(w - q @ (q.conj().T @ w))))
-    return np.array(vals) if per_sample else float(np.max(vals))
+        def lift(chart, X):
+            P, w0 = homogeneous_map(model.n, int(chart[1:]))
+            W = X @ P.T + w0
+            return W / np.linalg.norm(W, axis=-1, keepdims=True)
+        span = [lift(x0.chart, x0.coords), homogeneous_map(model.n, int(x0.chart[1:]))[0] @ v0]
+    J = standard_J(len(span[0]) // 2)
+    q, _ = np.linalg.qr(np.stack(span + [J @ u for u in span], axis=1))
+    charts = np.array([pt.chart for pt in curve.points])
+    X = np.stack([pt.coords for pt in curve.points])
+    vals = np.empty(len(curve))
+    for chart in np.unique(charts):
+        idx = charts == chart
+        W = lift(chart, X[idx])
+        vals[idx] = np.linalg.norm(W - (W @ q) @ q.T, axis=1)
+    return vals if per_sample else float(np.max(vals))
 
 
 def _pairing_drift(model, curve, other, stride):
@@ -338,30 +322,27 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
     """
     if len(curve) < 5:
         raise InvalidInputError("need at least 5 samples")
-    base = hplanarity_defect(model, curve)
-    base_max = float(np.nanmax(base))
+    accels = _accelerations(model, curve)
+    base_max = float(np.nanmax(_defects(model, curve, accels)))
 
     t_end = float(curve.times[-1])
+    idxs = [idx for idx, accel in enumerate(accels, start=2) if accel is not None]
+    t = curve.times[idxs]
+    # invert t = t_end * s^2 (3 - 2 s) for s in [0, 1], every sample at once
+    lo, hi = np.zeros(len(t)), np.ones(len(t))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = t_end * mid * mid * (3 - 2 * mid) < t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    s = 0.5 * (lo + hi)
+    tds = t_end * (6 * s - 6 * s * s)
+    tdds = t_end * (6 - 12 * s)
     worst = 0.0
-    for idx, accel in enumerate(_accelerations(model, curve), start=2):
-        if accel is None:
-            continue
-        t = curve.times[idx]
-        # invert t = t_end * s^2 (3 - 2 s) for s in [0, 1]
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if t_end * mid * mid * (3 - 2 * mid) < t:
-                lo = mid
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
-        td = t_end * (6 * s - 6 * s * s)
-        tdd = t_end * (6 - 12 * s)
+    for idx, td, tdd in zip(idxs, tds, tdds):
         if abs(td) < 1e-8:
             continue
         v = curve.velocities[idx]
-        new_acc = td * td * accel + tdd * v
+        new_acc = td * td * accels[idx - 2] + tdd * v
         worst = max(worst, _wedge_defect(new_acc, td * v,
                                          model.j_matrix(curve.points[idx].chart)))
     passed = (base_max <= tol) == (worst <= tol)

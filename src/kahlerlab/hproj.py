@@ -101,9 +101,6 @@ class SolutionField:
     def lam_at(self, point):
         return self.lam_jet(point, 0).const
 
-    def lambda_scalar_at(self, point):
-        return float(self.lambda_scalar_jet(point, 0).const)
-
     def mu_at(self, point):
         return float(self.mu_jet(point, 0).const)
 

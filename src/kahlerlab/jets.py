@@ -19,11 +19,11 @@ and determinants enter as log-determinants, log|det A_0| plus the series of
 tr(N^k) for the nilpotent N = A_0^-1 (A - A_0) (Griewank & Walther,
 *Evaluating Derivatives*, 2008; Neidinger, SIAM Review 52, 2010).
 
-Chart transitions and solution fields are written against plain scalar
-arithmetic (``+ - * /`` and ``**``), so the same code runs on floats, on
-numpy arrays (batched evaluation) and on Jets (derivative evaluation).
-Model metric functions take the same scalar lists and return one tensor
-(an array, or a Jet with a (..., d, d) payload).
+Solution fields are written against plain scalar arithmetic (``+ - * /``
+and ``**``), so the same code runs on floats, on numpy arrays (batched
+evaluation) and on Jets (derivative evaluation).  Model metric functions
+and chart transitions take the same scalar lists and return one tensor (an
+array, or a Jet with a (..., d, d) or (..., d) payload).
 """
 
 import itertools

@@ -9,24 +9,26 @@ log|A hom(z)|^2, realified, gives
     g = (4 / s^2) (s P^T P - (U U^T + J^T U U^T J)),
     W = P x + w0,   s = |W|^2,   U = P^T W,
 
-where P is the realified A[:, cols] (the columns of the chart's affine
-coordinates), w0 the realified column of the chart's unit slot, and A = I
-for the projective metric itself.  The factor 4 pins the holomorphic
-sectional curvature to 1 (the convention every curvature check in the
-package is calibrated against).  A metric function takes the list of d
-chart coordinates (floats, or scalar jets of one jet space) and returns one
-array, or one Jet with payload (..., d, d); a constant metric returns its
-stored read-only array.
+where (P, w0) = homogeneous_map(n, k, A): P is the realified A[:, cols] of
+the chart's affine columns, w0 the realified column of its unit slot, A = I
+for the projective metric.  Chart transitions divide the same W (A = I) by
+the target chart's slot.  The factor 4 pins the holomorphic sectional
+curvature to 1, the convention of every curvature check in the package.  A
+metric function takes the list of d chart coordinates (floats, or scalar
+jets of one jet space) and returns one array, or one Jet with payload
+(..., d, d); a constant metric returns its stored read-only array.
 """
 
+import copy
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, OutOfDomainError,
+from .errors import (ConfigError, InvalidInputError, OutOfDomainError,
                      UnsupportedDimensionError, UnsupportedModelError)
 from .geometry import verify_kahler
-from .jets import CNum, Jet, jet_eval, jet_space
+from .jets import Jet, jet_eval, jet_space
 from .tensors import jtensor_contract
 
 
@@ -68,15 +70,6 @@ def standard_J(n):
     return J
 
 
-def _to_cnums(xs):
-    return [CNum(xs[2 * k], xs[2 * k + 1]) for k in range(len(xs) // 2)]
-
-
-def _mag(x):
-    v = x.const if isinstance(x, Jet) else x
-    return abs(float(np.asarray(v).flat[0])) if np.ndim(v) else abs(float(v))
-
-
 class KahlerModel:
     """A model manifold: named charts, a metric function per chart with exact
     jets, a constant complex structure per chart, and transition maps.
@@ -85,8 +78,7 @@ class KahlerModel:
     """
 
     def __init__(self, kind, n, charts, default_chart, metric_fns, j_mats,
-                 transitions=None, periods=None, factors=None, weights=None,
-                 sample_halfwidth=0.9, params=None):
+                 transitions=None, periods=None, sample_halfwidth=0.9, params=None):
         self.kind = kind
         self.n = n
         self.dim = 2 * n
@@ -96,8 +88,6 @@ class KahlerModel:
         self._j_mats = j_mats
         self._transitions = transitions or {}
         self.periods = None if periods is None else np.asarray(periods, dtype=float)
-        self.factors = factors
-        self.weights = weights
         self.sample_halfwidth = sample_halfwidth
         self.params = params or {}
 
@@ -116,7 +106,7 @@ class KahlerModel:
 
     def j_fn(self, chart=None):
         J = self.j_matrix(chart)
-        return lambda xs: [[float(J[i, j]) for j in range(self.dim)] for i in range(self.dim)]
+        return lambda xs: J
 
     def transition_targets(self, chart):
         return sorted(t for (s, t) in self._transitions if s == chart)
@@ -140,20 +130,15 @@ class KahlerModel:
         coordinates are smallest in magnitude."""
         best = (float(np.max(np.abs(point.coords))), point, velocity)
         for dst in self.transition_targets(point.chart):
-            fn = self._transitions[(point.chart, dst)]
             try:
-                if velocity is None:
-                    y = np.array(fn(list(point.coords)), dtype=float)
-                    cand_v = None
-                else:
-                    jac_jet = jet_eval(fn, list(point.coords), 1)
-                    y = jac_jet.const
-                    cand_v = jac_jet.derivatives(1) @ np.asarray(velocity, dtype=float)
+                jac_jet = jet_eval(self._transitions[(point.chart, dst)], list(point.coords), 1)
             except ZeroDivisionError:
                 continue
+            y = jac_jet.const
             m = float(np.max(np.abs(y)))
             if m < best[0]:
-                best = (m, ChartPoint(dst, y), cand_v)
+                v = None if velocity is None else jac_jet.derivatives(1) @ velocity
+                best = (m, ChartPoint(dst, y), v)
         return (best[1], best[2]) if velocity is not None else best[1]
 
     # -- metric values -------------------------------------------------
@@ -175,16 +160,11 @@ class KahlerModel:
                              [list(p.coords) for p in points], tol=tol)
 
     def descriptor(self):
-        d = {"kind": self.kind, "n": self.n}
-        d.update(self.params)
-        return d
+        """kind, n and the parameters ``model_from_descriptor`` rebuilds it from."""
+        return {"kind": self.kind, "n": self.n, **self.params}
 
 
 # -- constructors -----------------------------------------------------------
-
-def _box(dim, half):
-    return tuple([-half] * dim), tuple([half] * dim)
-
 
 def flat_model(n, diag=None):
     """Flat C^n (optionally with a constant signature diag per complex axis)."""
@@ -193,48 +173,10 @@ def flat_model(n, diag=None):
     diag = [1.0] * n if diag is None else [float(d) for d in diag]
     if len(diag) != n or any(d == 0 for d in diag):
         raise InvalidInputError("diag must give one nonzero weight per complex axis")
-    lo, hi = _box(2 * n, 10.0)
-    chart = Chart("c0", 2 * n, lo, hi)
+    chart = Chart("c0", 2 * n, (-10.0,) * (2 * n), (10.0,) * (2 * n))
     return KahlerModel("flat", n, {"c0": chart}, "c0", {"c0": _constant_metric_fn(diag)},
                        {"c0": standard_J(n)}, sample_halfwidth=1.0,
                        params={"diag": diag})
-
-
-def _projective_charts(n, half=4.0):
-    charts = {}
-    for k in range(n + 1):
-        lo, hi = _box(2 * n, half)
-        charts[f"c{k}"] = Chart(f"c{k}", 2 * n, lo, hi)
-    return charts
-
-
-def _homogeneous(z, chart_index, n):
-    hom = []
-    ptr = 0
-    for m in range(n + 1):
-        if m == chart_index:
-            hom.append(CNum(1.0, 0.0))
-        else:
-            hom.append(z[ptr])
-            ptr += 1
-    return hom
-
-
-def _projective_transition(n, src_k, dst_k):
-    def fn(xs):
-        z = _to_cnums(xs)
-        hom = _homogeneous(z, src_k, n)
-        piv = hom[dst_k]
-        if _mag(piv.abs2()) == 0.0:
-            raise ZeroDivisionError("transition undefined on the coordinate hyperplane")
-        out = []
-        for m in range(n + 1):
-            if m == dst_k:
-                continue
-            u = hom[m] / piv
-            out.extend([u.re, u.im])
-        return out
-    return fn
 
 
 def _constant_metric_fn(diag):
@@ -262,16 +204,23 @@ def _coordinate_jet(xs):
     return Jet(jet_space(len(xs), 0), np.asarray(xs, dtype=float)[None])
 
 
+def homogeneous_map(n, chart_index, A=None):
+    """(P, w0) of the realified map x -> W = P x + w0 from affine chart
+    `chart_index` of CP(n) to homogeneous coordinates, followed by the linear
+    map A (None: the identity): P is the realified A[:, cols] of the chart's
+    affine columns, w0 the realified column of its unit slot."""
+    A = np.eye(n + 1) if A is None else A
+    cols = [m for m in range(n + 1) if m != chart_index]
+    return _realify(A[:, cols]), _realify(A[:, [chart_index]])[:, 0]
+
+
 def _pullback_metric_fn(n, chart_index, A):
     """Metric function of f_A^* (projective metric) in affine chart `chart_index`,
     from the homogeneous formula of the module docstring.
 
     ``A`` is a complex (n+1)x(n+1) matrix or None for the identity map.
     """
-    A = np.eye(n + 1) if A is None else A
-    cols = [m for m in range(n + 1) if m != chart_index]
-    P = _realify(A[:, cols])
-    w0 = _realify(A[:, [chart_index]])[:, 0]
+    P, w0 = homogeneous_map(n, chart_index, A)
     PtP = P.T @ P
     J = standard_J(n)
 
@@ -289,41 +238,65 @@ def _pullback_metric_fn(n, chart_index, A):
     return fn
 
 
-def fubini_study(n, chart_index=0):
-    """Projective space CP(n) with the invariant metric, holomorphic
-    sectional curvature normalized to 1 (g(0) = 4*Id in every affine chart)."""
+def _transition(n, src, dst):
+    """Chart map c{src} -> c{dst}: the homogeneous coordinates W of the point
+    divided by their slot `dst`, as (re, im) pairs on realified jets.  Raises
+    ZeroDivisionError where that slot vanishes."""
+    P, w0 = homogeneous_map(n, src)
+    keep = [m for m in range(n + 1) if m != dst]
+
+    def fn(xs):
+        X = _coordinate_jet(xs)
+        W = Jet(X.space, X.coef @ P.T) + w0
+        re, im = W[..., 0::2], W[..., 1::2]
+        a, b = re[..., keep], im[..., keep]
+        c, d = re[..., dst:dst + 1], im[..., dst:dst + 1]
+        r = (c * c + d * d).reciprocal()
+        # (a + ib) conj(c + id) / |c + id|^2
+        coef = np.stack([((a * c - b * -d) * r).coef, ((a * -d + b * c) * r).coef], axis=-1)
+        u = Jet(W.space, coef.reshape(coef.shape[:-2] + (2 * n,)))
+        return u if isinstance(xs[0], Jet) else u.const
+
+    return fn
+
+
+def _projective(kind, n, chart_index, A=None):
+    """CP(n) with the pullback of the projective metric under the linear map
+    A (None: the identity, the projective metric itself), the affine charts
+    c0..cn and default chart c{chart_index}.  The one constructor of the
+    projective family: it validates n, the chart index and A."""
+    if A is not None and A.shape != (n + 1, n + 1):
+        raise InvalidInputError("A must be square")
     if n < 2:
         raise UnsupportedDimensionError("projective model needs n >= 2 (real dim >= 4)")
     if not 0 <= chart_index <= n:
-        raise InvalidInputError(f"chart_index must be in 0..{n}")
-    charts = _projective_charts(n)
-    metric_fns = {f"c{k}": _pullback_metric_fn(n, k, None) for k in range(n + 1)}
-    j_mats = {f"c{k}": standard_J(n) for k in range(n + 1)}
-    transitions = {(f"c{i}", f"c{j}"): _projective_transition(n, i, j)
-                   for i in range(n + 1) for j in range(n + 1) if i != j}
-    return KahlerModel("fs", n, charts, f"c{chart_index}", metric_fns, j_mats,
-                       transitions=transitions, params={"chart_index": chart_index})
+        raise InvalidInputError(f"chart_index must be in 0..{n}, got {chart_index}")
+    params = {"chart_index": chart_index}
+    if A is not None:
+        if abs(np.linalg.det(A)) < 1e-12 * max(np.linalg.norm(A), 1.0) ** (n + 1):
+            raise InvalidInputError("A must be invertible")
+        params["A"] = [[[float(v.real), float(v.imag)] for v in row] for row in A]
+    names = [f"c{k}" for k in range(n + 1)]
+    return KahlerModel(kind, n, {c: Chart(c, 2 * n, (-4.0,) * (2 * n), (4.0,) * (2 * n))
+                                 for c in names},
+                       names[chart_index],
+                       {c: _pullback_metric_fn(n, k, A) for k, c in enumerate(names)},
+                       {c: standard_J(n) for c in names},
+                       transitions={(names[i], names[j]): _transition(n, i, j)
+                                    for i in range(n + 1) for j in range(n + 1) if i != j},
+                       params=params)
+
+
+def fubini_study(n, chart_index=0):
+    """Projective space CP(n) with the invariant metric, holomorphic
+    sectional curvature normalized to 1 (g(0) = 4*Id in every affine chart)."""
+    return _projective("fs", n, chart_index)
 
 
 def pullback_fs(A, chart_index=0):
     """Pullback of the projective metric under the linear map with matrix A."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInputError("A must be square")
-    n = A.shape[0] - 1
-    if n < 2:
-        raise UnsupportedDimensionError("pullback model needs n >= 2")
-    if abs(np.linalg.det(A)) < 1e-12 * max(np.linalg.norm(A), 1.0) ** (n + 1):
-        raise InvalidInputError("A must be invertible")
-    charts = _projective_charts(n)
-    metric_fns = {f"c{k}": _pullback_metric_fn(n, k, A) for k in range(n + 1)}
-    j_mats = {f"c{k}": standard_J(n) for k in range(n + 1)}
-    transitions = {(f"c{i}", f"c{j}"): _projective_transition(n, i, j)
-                   for i in range(n + 1) for j in range(n + 1) if i != j}
-    return KahlerModel("pullback", n, charts, f"c{chart_index}", metric_fns, j_mats,
-                       transitions=transitions,
-                       params={"A": [[ [float(A[i, j].real), float(A[i, j].imag)]
-                                       for j in range(n + 1)] for i in range(n + 1)]})
+    return _projective("pullback", len(A) - 1 if A.ndim else 0, chart_index, A)
 
 
 def product_model(factors, weights=None):
@@ -365,7 +338,7 @@ def product_model(factors, weights=None):
     if all(f.periods is not None for f in factors):
         periods = np.concatenate([f.periods for f in factors])
     return KahlerModel("product", n, {"c0": chart}, "c0", {"c0": fn}, {"c0": J},
-                       periods=periods, factors=list(factors), weights=weights,
+                       periods=periods,
                        sample_halfwidth=min(f.sample_halfwidth for f in factors),
                        params={"weights": weights,
                                "factors": [f.descriptor() for f in factors]})
@@ -376,9 +349,10 @@ def flat_torus(n, periods=1.0):
     numerics operate on the fundamental domain."""
     if n < 2:
         raise UnsupportedDimensionError("torus model needs n >= 2")
-    periods = np.asarray(periods, dtype=float) * np.ones(2 * n)
-    if np.any(periods <= 0):
-        raise InvalidInputError("periods must be positive")
+    periods = np.asarray(periods, dtype=float)
+    if periods.shape not in ((), (1,), (2 * n,)) or np.any(periods <= 0):
+        raise InvalidInputError(f"periods must be positive, one or {2 * n} of them")
+    periods = periods * np.ones(2 * n)
     half = periods / 2.0
     chart = Chart("c0", 2 * n, tuple(-half), tuple(half))
     return KahlerModel("torus", n, {"c0": chart}, "c0", {"c0": _constant_metric_fn([1.0] * n)},
@@ -388,41 +362,59 @@ def flat_torus(n, periods=1.0):
 
 
 def rescale_model(model, c):
-    """The same manifold with metric multiplied by the nonzero constant c."""
+    """The same manifold with metric multiplied by the nonzero constant c; its
+    descriptor records the accumulated scale."""
     if c == 0.0:
         raise InvalidInputError("scale must be nonzero")
-
-    fns = {name: (lambda xs, _f=base_fn: c * _f(xs))
-           for name, base_fn in model._metric_fns.items()}
-    scaled = KahlerModel(model.kind, model.n, model.charts, model.default_chart,
-                         fns, model._j_mats, transitions=model._transitions,
-                         periods=model.periods, factors=model.factors,
-                         weights=model.weights,
-                         sample_halfwidth=model.sample_halfwidth,
-                         params={**model.params, "scale": c})
+    scaled = copy.copy(model)
+    scaled._metric_fns = {name: (lambda xs, _f=base_fn: c * _f(xs))
+                          for name, base_fn in model._metric_fns.items()}
+    scaled.params = {**model.params, "scale": c * model.params.get("scale", 1.0)}
     return scaled
 
 
+def _floats(v):
+    return [float(x) for x in v]
+
+
+def _field(desc, key, convert, *default):
+    """convert(desc[key]), or the default when the key is absent and one is
+    given.  A missing or malformed key raises ConfigError naming it."""
+    if key not in desc:
+        if default:
+            return default[0]
+        raise ConfigError(f"model {desc.get('kind')!r} needs the key {key!r}")
+    try:
+        return convert(desc[key])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"model key {key!r} is malformed: {exc}") from None
+
+
 def model_from_descriptor(desc):
-    """Build a model from a CLI/JSON descriptor (kind, n, and kind parameters)."""
+    """Build the model a descriptor describes: the output of ``descriptor()``,
+    a config-file model or the CLI's model flags.  A pullback takes n from
+    its matrix; ``scale`` rescales any kind."""
+    if not isinstance(desc, dict):
+        raise ConfigError(f"a model descriptor is a JSON object, got {desc!r}")
     kind = desc.get("kind")
-    n = int(desc.get("n", 2))
-    if kind == "flat":
-        return flat_model(n, desc.get("diag"))
-    if kind == "fs":
-        return fubini_study(n, int(desc.get("chart_index", 0)))
-    if kind == "pullback":
-        A = complex_matrix_from_pairs(desc["A"])
-        return pullback_fs(A, int(desc.get("chart_index", 0)))
-    if kind == "torus":
-        return flat_torus(n, desc.get("periods", 1.0))
-    if kind == "product":
-        factors = [model_from_descriptor(f) for f in desc["factors"]]
-        return product_model(factors, desc.get("weights"))
-    raise UnsupportedModelError(f"unknown model kind {kind!r}")
+    n = _field(desc, "n", operator.index, 2)
+    if kind in ("fs", "pullback"):
+        A = _field(desc, "A", complex_matrix_from_pairs) if kind == "pullback" else None
+        model = _projective(kind, n if A is None else len(A) - 1,
+                            _field(desc, "chart_index", operator.index, 0), A)
+    elif kind == "flat":
+        model = flat_model(n, _field(desc, "diag", _floats, None))
+    elif kind == "torus":
+        model = flat_torus(n, _field(desc, "periods", lambda v: np.asarray(v, dtype=float), 1.0))
+    elif kind == "product":
+        model = product_model([model_from_descriptor(f) for f in _field(desc, "factors", list)],
+                              _field(desc, "weights", _floats, None))
+    else:
+        raise UnsupportedModelError(f"unknown model kind {kind!r}")
+    scale = _field(desc, "scale", float, None)
+    return model if scale is None else rescale_model(model, scale)
 
 
 def complex_matrix_from_pairs(rows):
     """Rows of [re, im] pairs (row-major) -> complex ndarray."""
-    out = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
-    return out
+    return np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])

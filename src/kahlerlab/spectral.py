@@ -172,6 +172,7 @@ class MinimalPoly:
     clusters: list                # (center, algebraic multiplicity, exponent)
     warning: str = None
     alternative: np.ndarray = None  # candidate with near-coincident clusters merged
+    ambiguous: bool = False       # two clusters within 10x the clustering tolerance
 
     @property
     def degree(self):
@@ -233,7 +234,7 @@ def minimal_poly(L, tol=1e-6):
                 merged_centers, merged_counts, m, scale, 10 * tol)
     poly, clusters, jordan_warning = _poly_from_clusters(centers, counts, m,
                                                          scale, tol)
-    return MinimalPoly(poly, clusters, warning or jordan_warning, alternative)
+    return MinimalPoly(poly, clusters, warning or jordan_warning, alternative, warning is not None)
 
 
 def _jordan_exponent(m, lam, alg_mult, tol):
@@ -274,7 +275,7 @@ def make_projector(L: ExtendedOperator, target=None, tol=1e-6):
         raise NoProjectorError("operator has a single eigenvalue cluster")
     if not reals:
         raise NoProjectorError("no real eigenvalue cluster to project onto")
-    if mp.warning and "within 10x" in mp.warning:
+    if mp.ambiguous:
         raise NoProjectorError(f"ambiguous clustering: {mp.warning}")
     target = max(c.real for c in reals) if target is None else float(target)
     sel = min(reals, key=lambda c: abs(c.real - target)).real

@@ -21,6 +21,10 @@ and R from Gamma and its partials d_l Gamma^i_jk, which differentiate that
 formula by hand (d g^-1 = -g^-1 dg g^-1).  They take no jets and share no
 code with the package's connection.
 
+The line reference lifts each sample of a curve on its own to homogeneous
+coordinates with complex numbers, the way ``line_deviation`` worked before
+it lifted whole curves through the realified chart map.
+
 The transport reference is the prolonged system's right-hand side along a
 curve, written index by index with einsum.
 
@@ -126,6 +130,21 @@ def fs_christoffel_oracle(x):
     out = np.empty((2 * n, 2 * n, 2 * n))
     out[0::2], out[1::2] = w.real, w.imag
     return out
+
+
+def projective_line_deviation(curve, x0, v0):
+    """Per-sample distance of a curve in CP(n) from the complex line of its
+    initial data: each sample on its own is lifted to normalized homogeneous
+    coordinates (1 in the chart's slot) and projected with a complex QR."""
+    def lift(pt):
+        z = pt.coords[0::2] + 1j * pt.coords[1::2]
+        hom = np.insert(z, int(pt.chart[1:]), 1.0)
+        return hom / np.linalg.norm(hom)
+
+    dv = np.insert(v0[0::2] + 1j * v0[1::2], int(x0.chart[1:]), 0.0)
+    q, _ = np.linalg.qr(np.stack([lift(x0), dv], axis=1))
+    return np.array([np.linalg.norm(w - q @ (q.conj().T @ w))
+                     for w in map(lift, curve.points)])
 
 
 def _lower(dg):

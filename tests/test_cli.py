@@ -143,13 +143,16 @@ def test_product_model_via_config(tmp_path, capsys):
         "model": {"kind": "product", "n": 4,
                   "factors": [{"kind": "flat", "n": 2},
                               {"kind": "torus", "n": 2, "periods": 1.0}],
-                  "weights": [1.0, 2.0]}}))
+                  "weights": [1.0, 2.0]},
+        "seed": 5}))
     out = tmp_path / "rep.json"
-    code = _run(["verify-kahler", "--config", str(cfg), "--samples", "3",
+    # a flag beats the file, also as a prefix argparse accepts
+    code = _run(["verify-kahler", "--config", str(cfg), "--samples", "3", "--se", "9",
                  "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["model"]["kind"] == "product"
+    assert rep["seed"] == 9
     capsys.readouterr()
 
 
@@ -192,12 +195,31 @@ def test_bad_samples_or_step_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
-@pytest.mark.parametrize("cfg_values", [{"samples": 0}, {"samples": "3"},
-                                        {"step": -1.0}, {"step": "1e-3"}])
+@pytest.mark.parametrize("cfg_values", [
+    {"samples": 0}, {"samples": "3"}, {"step": -1.0}, {"step": "1e-3"},
+    {"model": {"kind": "product", "n": 4}},                  # no factors
+    {"model": {"kind": "pullback", "n": 2}},                 # no A
+    {"model": {"kind": "fs", "n": "two"}},
+])
 def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_values))
-    assert _run(["verify-kahler", "--model", "flat", "--config", str(cfg)]) == 2
+    out = tmp_path / "rep.json"
+    assert _run(["verify-kahler", "--model", "flat", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_report_model_field_rebuilds_the_model(tmp_path, a_file, capsys):
+    from kahlerlab.models import model_from_descriptor
+    out = tmp_path / "rep.json"
+    assert _run(["verify-kahler", "--model", "pullback", "--A-file", a_file,
+                 "--chart-index", "1", "--samples", "2", "--out", str(out)]) == 0
+    desc = json.loads(out.read_text())["model"]
+    assert model_from_descriptor(desc).descriptor() == desc
+    assert desc["chart_index"] == 1
     capsys.readouterr()
 
 
@@ -205,8 +227,11 @@ def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
     ["verify-kahler", "--model", "flat", "--n", "1"],
     ["verify-kahler", "--model", "flat", "--n", "2", "--diag", "1", "0"],
     ["mobility", "--model", "fs", "--n", "1", "--B", "-0.25"],
+    ["hplanar", "--model", "pullback", "--A-file", "A.json", "--chart-index", "5"],
+    ["verify-kahler", "--model", "pullback", "--A-file", "A.json", "--chart-index", "5"],
 ])
-def test_invalid_input_exit_2(tmp_path, capsys, argv):
+def test_invalid_input_exit_2(tmp_path, capsys, a_file, argv):
+    argv = [a_file if a == "A.json" else a for a in argv]
     out = tmp_path / "rep.json"
     assert _run(argv + ["--out", str(out)]) == 2
     assert not out.exists()

@@ -8,8 +8,8 @@ from kahlerlab.curves import (CurveSample, energy_drift, hplanarity_defect,
                               rk4_order_ratio)
 from kahlerlab.errors import (InvalidInputError, OutOfDomainError,
                               UnsupportedModelError)
-from kahlerlab.models import ChartPoint, flat_model
-from oracles import oracle_geometry
+from kahlerlab.models import ChartPoint, flat_model, fubini_study, pullback_fs
+from oracles import oracle_geometry, projective_line_deviation
 
 
 def test_flat_straight_line(flat2):
@@ -208,3 +208,21 @@ def test_poly_coefficient_builtin(fs2, rng):
     v0 = rng.uniform(-0.5, 0.5, 4)
     c = integrate_hplanar(fs2, x0, v0, poly_coefficient(0.2, 0.1), beta, 0.5, 2e-3)
     assert line_deviation(fs2, c, x0, v0) < 1e-7
+
+
+@pytest.mark.parametrize("A", [None, np.diag([2.0, 1.0, 1.0]) + 0.3j * np.eye(3, k=1)])
+def test_line_deviation_matches_per_sample_lift(A, rng):
+    # samples scattered over every chart, off the line, against the
+    # one-sample-at-a-time complex lift
+    model = fubini_study(2) if A is None else pullback_fs(A)
+    charts = ["c0", "c1", "c2"] * 5
+    curve = CurveSample(np.arange(len(charts)) * 0.1,
+                        [ChartPoint(c, rng.uniform(-1.5, 1.5, 4)) for c in charts],
+                        [np.zeros(4)] * len(charts))
+    for x0 in (ChartPoint("c0", rng.uniform(-0.5, 0.5, 4)),
+               ChartPoint("c2", rng.uniform(-0.5, 0.5, 4))):
+        v0 = rng.uniform(-1.0, 1.0, 4)
+        got = line_deviation(model, curve, x0, v0, per_sample=True)
+        ref = projective_line_deviation(curve, x0, v0)
+        assert np.min(ref) > 1e-3
+        assert np.max(np.abs(got - ref)) < 1e-14

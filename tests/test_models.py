@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerlab.errors import (InvalidInputError, UnsupportedDimensionError,
                               UnsupportedModelError)
@@ -48,18 +50,32 @@ def test_fs_rejects_low_dimension():
         fubini_study(2, chart_index=5)
 
 
-def test_fs_chart_transition_consistency(fs2, rng):
-    T01 = fs2.transition("c0", "c1")
-    T10 = fs2.transition("c1", "c0")
+def _chart_pairs():
+    A = np.array([[2.0, 0.3j, 0.0], [0.1, 1.0, 0.2], [0.0, -0.4j, 1.0]])
+    cases = []
+    for label, model in (("fs2", fubini_study(2)), ("fs3", fubini_study(3)),
+                         ("pullback2", pullback_fs(A))):
+        for src in sorted(model.charts):
+            cases += [pytest.param(model, src, dst, id=f"{label}-{src}-{dst}")
+                      for dst in model.transition_targets(src)]
+    return cases
+
+
+@pytest.mark.parametrize("model,src,dst", _chart_pairs())
+def test_fs_chart_transition_consistency(model, src, dst, rng):
+    T = model.transition(src, dst)
+    T_back = model.transition(dst, src)
+    k, m = int(src[1:]), int(dst[1:])
+    slot = m if m < k else m - 1      # the target's unit slot among c_src's coordinates
     for _ in range(5):
-        x = rng.uniform(-0.8, 0.8, 4)
-        x[0] = rng.choice([-1, 1]) * rng.uniform(0.5, 0.9)
-        tj = jet_eval(T01, list(x), 1)
+        x = rng.uniform(-0.8, 0.8, model.dim)
+        x[2 * slot] = rng.choice([-1, 1]) * rng.uniform(0.5, 0.9)
+        tj = jet_eval(T, list(x), 1)
         y, Dy = tj.const, tj.derivatives(1)
-        g1 = np.array(fs2.metric_fn("c1")(list(y)), dtype=float)
-        g0 = np.array(fs2.metric_fn("c0")(list(x)), dtype=float)
+        g1 = np.array(model.metric_fn(dst)(list(y)), dtype=float)
+        g0 = np.array(model.metric_fn(src)(list(x)), dtype=float)
         assert np.max(np.abs(Dy.T @ g1 @ Dy - g0)) < 1e-9
-        assert np.max(np.abs(np.array(T10(list(y))) - x)) < 1e-12
+        assert np.max(np.abs(np.array(T_back(list(y))) - x)) < 1e-12
 
 
 def test_pullback_identity_and_scalar(fs2, rng):
@@ -152,6 +168,8 @@ def test_flat_torus_curvature_and_wrap(torus2, rng):
     assert np.allclose(wrapped.coords, [-0.3, 0.4, 0.2, 0.49])
     with pytest.raises(InvalidInputError):
         flat_torus(2, -1.0)
+    with pytest.raises(InvalidInputError):
+        flat_torus(2, [1.0, 2.0, 3.0])
     with pytest.raises(UnsupportedDimensionError):
         flat_torus(1)
 
@@ -183,6 +201,46 @@ def test_model_descriptor_round_trip():
                                       [[0, 0], [1, 0], [0, 0]],
                                       [[0, 0], [0, 0], [1, 0]]]})
     assert m2.kind == "pullback"
+    # the chart and the scale survive the round trip
+    pb = model_from_descriptor(pullback_fs(np.diag([2.0, 1.0, 1.0]), chart_index=1).descriptor())
+    assert pb.default_chart == "c1"
+    fs = model_from_descriptor(rescale_model(fubini_study(2), 2).descriptor())
+    assert np.allclose(fs.metric_at(fs.point(np.zeros(4))), 8.0 * np.eye(4), atol=1e-14)
+
+
+@st.composite
+def _models(draw):
+    """A model of every kind at n = 2 or 3, optionally rescaled."""
+    kind = draw(st.sampled_from(["fs", "pullback", "flat", "torus", "product"]))
+    n = draw(st.sampled_from([2, 3]))
+    chart_index = draw(st.integers(0, n))
+    if kind == "fs":
+        model = fubini_study(n, chart_index)
+    elif kind == "pullback":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        A = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+        model = pullback_fs(A + 3.0 * np.eye(n + 1), chart_index)
+    elif kind == "flat":
+        model = flat_model(n, draw(st.lists(st.sampled_from([1.0, -1.0, 2.0]),
+                                            min_size=n, max_size=n)))
+    elif kind == "torus":
+        model = flat_torus(n, draw(st.sampled_from([1.0, 2.5])))
+    else:
+        model = product_model([fubini_study(n, chart_index), flat_torus(2)],
+                              [1.0, draw(st.sampled_from([2.0, -1.0]))])
+    c = draw(st.sampled_from([None, 2.0, -3.0]))
+    return model if c is None else rescale_model(model, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_models(), st.integers(0, 2 ** 32 - 1))
+def test_descriptor_rebuilds_the_model(model, seed):
+    rebuilt = model_from_descriptor(model.descriptor())
+    assert rebuilt.kind == model.kind and rebuilt.default_chart == model.default_chart
+    assert rebuilt.descriptor() == model.descriptor()
+    for pt in model.sample_points(np.random.default_rng(seed), 3):
+        g = model.metric_at(pt)
+        assert np.max(np.abs(rebuilt.metric_at(pt) - g)) <= 1e-14 * np.max(np.abs(g))
 
 
 def test_rechart_moves_to_smaller_coordinates(fs2):

@@ -134,10 +134,12 @@ def test_minimal_poly_ambiguity_warning():
     m = np.diag([0.0, 5e-6, 1.0, 1.0])
     mp = minimal_poly(m, tol=1e-6)
     assert mp.warning is not None and "10x" in mp.warning
+    assert mp.ambiguous
     assert mp.alternative is not None
     assert len(mp.alternative) < len(mp.coefficients)  # merged candidate
     # cleanly separated spectrum carries no warning
-    assert minimal_poly(np.diag([0.0, 0.5, 1.0, 1.0])).warning is None
+    clean = minimal_poly(np.diag([0.0, 0.5, 1.0, 1.0]))
+    assert clean.warning is None and not clean.ambiguous
 
 
 def test_minimal_poly_complex_spectrum():
@@ -160,6 +162,12 @@ def test_make_projector_on_existing_projector():
 def test_make_projector_rejects_identity():
     with pytest.raises(NoProjectorError):
         make_projector(ExtendedOperator(np.eye(6), None, 2))
+
+
+def test_make_projector_refuses_ambiguous_clustering():
+    m = np.diag([0.0, 5e-6, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NoProjectorError, match="ambiguous"):
+        make_projector(ExtendedOperator(m, None, 2))
 
 
 def test_projector_pipeline_eigenstructure(renorm, rng):
