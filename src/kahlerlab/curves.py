@@ -16,6 +16,11 @@ from .errors import InvalidInputError, OutOfDomainError, UnsupportedModelError
 from .models import ChartPoint, homogeneous_map, standard_J
 from .prolongation import _geo_floats_batch, rk4_step
 
+MARGIN = 0.05   # the integrator re-charts a curve this close to its chart's edge
+# The order check's ladder, finest first: every step its round-off fallback reaches.
+ORDER_T_END = 0.5
+ORDER_STEPS = (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)
+
 
 @dataclass
 class CurveSample:
@@ -75,86 +80,82 @@ def poly_coefficient(*coeffs):
     return f
 
 
-def integrate_hplanar(model, x0: ChartPoint, v0, alpha=0.0, beta=0.0,
-                      t_end=1.0, step=1e-3, margin=0.05):
+def integrate_hplanar(model, x0: ChartPoint, v0, alpha=0.0, beta=0.0, t_end=1.0, step=1e-3):
     """RK4 integration of the planar-curve ODE from (x0, v0): a batch of one
     (see ``integrate_hplanar_batch``)."""
-    return integrate_hplanar_batch(model, [x0], [v0], [alpha], [beta],
-                                   t_end, step, margin)[0]
+    return integrate_hplanar_batch(model, [x0], [v0], [alpha], [beta], t_end, step)[0]
 
 
-def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3,
-                            margin=0.05):
+def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3):
     """Lockstep RK4 for a batch of curves.  Returns a list of CurveSample.
 
-    Each RK4 stage evaluates the geometry in one batched call per chart that
-    holds curves.  After every step a curve on a torus is wrapped into the
-    fundamental domain; elsewhere a curve that leaves the margin-shrunk box of
-    its chart is re-charted through the transition maps.  If no chart covers
-    it, an out-of-domain error carrying that curve's last valid sample is
-    raised.
+    ``t_end`` and ``step`` are one value, or one per curve: a curve ticks at
+    its own step and drops out after ceil(t_end / step) steps.  Each RK4
+    stage evaluates the geometry in one batched call per chart that holds
+    ticking curves.  After every step a curve on a torus is wrapped into the
+    fundamental domain; elsewhere a curve that leaves the MARGIN-shrunk box
+    of its chart is re-charted through the transition maps.  If no chart
+    covers it, an out-of-domain error carrying its last valid sample is raised.
     """
     nb = len(x0s)
     if nb == 0:
         raise InvalidInputError("a batch needs at least one curve")
     if not len(v0s) == len(alphas) == len(betas) == nb:
         raise InvalidInputError("x0s, v0s, alphas and betas must have equal lengths")
-    if step <= 0:
-        raise InvalidInputError("step must be positive")
+    t_ends, steps = np.full(nb, t_end, dtype=float), np.full(nb, step, dtype=float)
+    if not (np.all(steps > 0) and np.all(t_ends >= 0)):
+        raise InvalidInputError("step must be positive and t_end not negative")
     V = np.stack([np.asarray(v, dtype=float) for v in v0s])
     if np.any(np.linalg.norm(V, axis=1) == 0.0):
         raise InvalidInputError("initial velocity must be nonzero")
     X = np.stack([p.coords for p in x0s]).astype(float)
-    charts = [p.chart for p in x0s]
+    charts = np.array([p.chart for p in x0s], dtype=object)
     alphas = [as_coefficient(a) for a in alphas]
     betas = [as_coefficient(b) for b in betas]
-    nsteps = int(np.ceil(t_end / step))
-    times = [0.0]
-    traj_c = [list(charts)]
-    traj_x = [X.copy()]
-    traj_v = [V.copy()]
+    nsteps = np.ceil(t_ends / steps).astype(int)
+    ticks = [(charts.copy(), X.copy(), V.copy())]
 
     def sample(b):
-        """Curve b as sampled so far."""
-        return CurveSample(np.array(times),
-                           [ChartPoint(cs[b], xs[b]) for cs, xs in zip(traj_c, traj_x)],
-                           [vs[b] for vs in traj_v])
+        """Curve b so far; tick j stores the rows of the curves with >= j steps."""
+        k = min(len(ticks) - 1, nsteps[b])
+        rows = np.sum(nsteps[:b, None] >= np.arange(k + 1), axis=0)
+        tk = np.arange(k) * steps[b]
+        return CurveSample(np.concatenate([[0.0], tk + np.minimum(steps[b], t_ends[b] - tk)]),
+                           [ChartPoint(cs[r], xs[r]) for (cs, xs, _), r in zip(ticks, rows)],
+                           [vs[r] for (_, _, vs), r in zip(ticks, rows)])
 
-    def acc(groups, XX, VV, t):
-        al = np.array([a(t) for a in alphas])
-        be = np.array([b(t) for b in betas])
+    def f(c, y):
+        XX, VV = y
+        ts = t + c * h[:, 0]
         out = np.empty_like(VV)
         for chart, idx in groups:
             _, GAM = _geo_floats_batch(model, chart, XX[idx])
             Vc = VV[idx]
+            al = np.array([alphas[b](tb) for b, tb in zip(act[idx], ts[idx])])
+            be = np.array([betas[b](tb) for b, tb in zip(act[idx], ts[idx])])
             out[idx] = (-np.einsum("bijk,bj,bk->bi", GAM, Vc, Vc)
-                        + al[idx, None] * Vc
-                        + be[idx, None] * (Vc @ model.j_matrix(chart).T))
-        return out
+                        + al[:, None] * Vc
+                        + be[:, None] * (Vc @ model.j_matrix(chart).T))
+        return VV, out
 
-    def f(c, y):
-        XX, VV = y
-        return VV, acc(groups, XX, VV, t + c * h)
-
-    for s in range(nsteps):
-        t = s * step
-        h = min(step, t_end - t)
-        groups = [(c, np.array([b for b in range(nb) if charts[b] == c]))
-                  for c in sorted(set(charts))]
-        X, V = rk4_step(f, (X, V), h)
-        for b in range(nb):
+    for s in range(int(np.max(nsteps))):
+        act = np.flatnonzero(nsteps > s)
+        t = s * steps[act]
+        h = np.minimum(steps[act], t_ends[act] - t)[:, None]
+        groups = [(c, np.flatnonzero(charts[act] == c)) for c in np.unique(charts[act])]
+        X[act], V[act] = rk4_step(f, (X[act], V[act]), h)
+        for chart, idx in groups:
             if model.periods is not None:
-                X[b] = model.wrap(ChartPoint(charts[b], X[b])).coords
-            elif not model.chart(charts[b]).contains(X[b], margin):
-                pt, vv = model.rechart(ChartPoint(charts[b], X[b]), V[b])
+                X[act[idx]] = model.wrap(ChartPoint(chart, X[act[idx]])).coords
+                continue
+            for i in idx[~model.chart(chart).contains(X[act[idx]], MARGIN)]:
+                b = act[i]
+                pt, vv = model.rechart(ChartPoint(chart, X[b]), V[b])
                 if not model.chart(pt.chart).contains(pt.coords):
-                    raise OutOfDomainError(f"curve {b} left the atlas at t={t + h:.4f}",
+                    raise OutOfDomainError(f"curve {b} left the atlas at t={t[i] + h[i, 0]:.4f}",
                                            last_sample=sample(b))
                 charts[b], X[b], V[b] = pt.chart, pt.coords, vv
-        times.append(t + h)
-        traj_c.append(list(charts))
-        traj_x.append(X.copy())
-        traj_v.append(V.copy())
+        ticks.append((charts[act], X[act], V[act]))
     return [sample(b) for b in range(nb)]
 
 
@@ -349,22 +350,21 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
     return passed, base_max, worst
 
 
-def rk4_order_ratio(model, x0, v0, alpha, beta, t_end, step):
+def rk4_order_ratio(ends):
     """Endpoint step-halving ratio |e(h) - e(h/2)| / |e(h/2) - e(h/4)|;
-    close to 16 for a 4th-order integrator.
+    close to 16 for a 4th-order integrator, from the endpoints of one curve
+    integrated over ORDER_T_END at each of ORDER_STEPS.
 
     A finer difference within 16 ulp of the endpoint is round-off, and a
-    ratio of round-off says nothing about the order, so h grows by 4 from
-    ``step`` while it is, up to the cap h <= t_end / 8.  A finer difference
-    of exactly 0 gives 0.0, not a non-number.
+    ratio of round-off says nothing about the order, so h grows by 4 from the
+    finest triple while it is, up to the coarsest.  A finer difference of
+    exactly 0 gives 0.0, not a non-number.
     """
-    h = step
-    while True:
-        ends = [integrate_hplanar(model, x0, v0, alpha, beta, t_end, h / k).points[-1].coords
-                for k in (1, 2, 4)]
-        e1 = np.linalg.norm(ends[0] - ends[1])
-        e2 = np.linalg.norm(ends[1] - ends[2])
-        noise = 16 * np.finfo(float).eps * max(1.0, np.linalg.norm(ends[2]))
-        if e2 > noise or 4 * h > t_end / 8:
-            return float(e1 / e2) if e2 > 0.0 else 0.0
-        h *= 4
+    for k in range(0, len(ends) - 2, 2):
+        fine, half, coarse = ends[k:k + 3]
+        e1 = np.linalg.norm(coarse - half)
+        e2 = np.linalg.norm(half - fine)
+        noise = 16 * np.finfo(float).eps * max(1.0, np.linalg.norm(fine))
+        if e2 > noise:
+            break
+    return float(e1 / e2) if e2 > 0.0 else 0.0

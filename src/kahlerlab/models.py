@@ -47,12 +47,13 @@ class Chart:
             raise InvalidInputError("domain box does not match dimension")
 
     def contains(self, coords, margin=0.0):
+        """Whether a point (each row of a stack) lies in the shrunk box."""
         c = np.asarray(coords, dtype=float)
-        return bool(np.all(c >= np.array(self.lo) + margin)
-                    and np.all(c <= np.array(self.hi) - margin))
+        return (np.all(c >= np.array(self.lo) + margin, axis=-1)
+                & np.all(c <= np.array(self.hi) - margin, axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChartPoint:
     chart: str
     coords: np.ndarray
@@ -118,7 +119,7 @@ class KahlerModel:
             raise OutOfDomainError(f"no transition {src} -> {dst}") from None
 
     def wrap(self, point: ChartPoint) -> ChartPoint:
-        """Reduce torus coordinates into the fundamental domain."""
+        """Reduce torus coordinates (rows of a stack) to the fundamental domain."""
         if self.periods is None:
             return point
         p = self.periods

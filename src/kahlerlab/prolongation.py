@@ -396,14 +396,16 @@ def _coordinate_rhs_jets(gjet, Jlow_jet, gamma, J, B, a_jet, lam_jet, mu_jet):
 
 # -- local mobility estimation ---------------------------------------------
 
+ROW_FLOOR = 1e-7   # shorter constraint rows are dropped before normalization
+SVD_TOL = 1e-8     # singular values above SVD_TOL times the largest make the rank
+
+
 @dataclass
 class MobilityConfig:
     step: float = 2e-3
     loop_side: float = 0.3
     n_random_loops: int = 4
     n_transport_points: int = 4
-    svd_tol: float = 1e-8
-    row_floor: float = 1e-7
     max_batches: int = 64
     seed: int = 0
     max_plane_loops: int = None   # cap on coordinate-plane rectangles
@@ -565,12 +567,12 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     for batch in batches[:config.max_batches]:
         raw = _constraint_rows(model, B, batch, base_point, states, config.step)
         norms = np.linalg.norm(raw, axis=1)
-        keep = norms > config.row_floor
+        keep = norms > ROW_FLOOR
         if np.any(keep):
             rows.append(raw[keep] / norms[keep, None])
         if rows:
             sv = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
-        new_rank = int(np.sum(sv > config.svd_tol * sv[0])) if rows else 0
+        new_rank = int(np.sum(sv > SVD_TOL * sv[0])) if rows else 0
         history.append(new_rank)
         stable = stable + 1 if new_rank == rank else 0
         rank = new_rank

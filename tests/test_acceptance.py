@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from kahlerlab.cli import main as cli_main
-from kahlerlab.curves import (integrate_hplanar_batch, killing_integral_drift,
-                              line_deviation, rk4_order_ratio)
+from kahlerlab.curves import (ORDER_STEPS, ORDER_T_END, integrate_hplanar_batch,
+                              killing_integral_drift, line_deviation, rk4_order_ratio)
 from kahlerlab.geometry import riemann
 from kahlerlab.hproj import (PairSolution, c_identity_check, geom, hpr_residual,
                              killing_residual, lambda_bar_field,
@@ -250,10 +250,16 @@ def test_criterion_09_hplanar_curves(fs):
     v0s = [rng.uniform(-0.7, 0.7, 4) for _ in range(count)]
     als = [float(rng.uniform(-0.3, 0.3)) for _ in range(count)]
     bes = [float(rng.uniform(-0.5, 0.5)) for _ in range(count)]
-    curves = integrate_hplanar_batch(fs, x0s, v0s, als, bes, 1.0, 1e-3)
+    # the order check's ladder, from curve 0's data, rides in the same batch
+    k = len(ORDER_STEPS)
+    batch = integrate_hplanar_batch(fs, x0s + x0s[:1] * k, v0s + v0s[:1] * k,
+                                    als + als[:1] * k, bes + bes[:1] * k,
+                                    [1.0] * count + [ORDER_T_END] * k,
+                                    [1e-3] * count + list(ORDER_STEPS))
+    curves, ladder = batch[:count], batch[count:]
     worst = max(line_deviation(fs, c, x0s[i], v0s[i])
                 for i, c in enumerate(curves))
-    ratio = rk4_order_ratio(fs, x0s[0], v0s[0], als[0], bes[0], 0.5, 4e-3)
+    ratio = rk4_order_ratio([c.points[-1].coords for c in ladder])
     ok = worst < 1e-6 and 12.0 <= ratio <= 20.0
     _announce(9, "h-planar curves", ok,
               f"max line deviation {worst:.2e} < 1e-6, RK4 ratio {ratio:.1f} in [12, 20]",

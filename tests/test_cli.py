@@ -303,3 +303,61 @@ def test_non_finite_check_is_null_and_fails():
         c = check("x", value, 1.0)
         assert c["max_residual"] is None and c["pass"] is False
         _strict_json(json.dumps(c, allow_nan=False))
+
+
+def test_hplanar_integrates_once(tmp_path, a_file, monkeypatch, capsys):
+    # Every curve hplanar checks (sampled curves, energy geodesic, the order
+    # ladder, Killing geodesics) ticks in one lockstep batch: 1,000 ticks at
+    # the default step, four geometry calls per tick and chart held.
+    from kahlerlab import curves
+    counts = {"rk4_step": 0, "_geo_floats_batch": 0}
+    for name in counts:
+        def counted(*args, _name=name, _orig=getattr(curves, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(curves, name, counted)
+    assert _run(["hplanar", "--model", "fs", "--n", "2", "--A-file", a_file,
+                 "--seed", "11", "--out", str(tmp_path / "rep.json")]) == 0
+    assert counts["rk4_step"] <= 1000 and counts["_geo_floats_batch"] <= 4100, counts
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("a2,code", [([2, 1, 1], 1), ([1, 1, 1], 1), ([1, 3, 1], 0)],
+                         ids=["A2-is-A", "A2-is-identity", "independent"])
+def test_hpr_check_c_identity_needs_independent_solutions(tmp_path, a_file, capsys, a2, code):
+    # With A2 = A, or A2 = 1 (gbar = g, the trivial solution), {g, a, A} are
+    # dependent and the identity holds vacuously: c_identity is null and fails.
+    a2_file = tmp_path / "A2.json"
+    a2_file.write_text(json.dumps([[[d if i == j else 0, 0] for j in range(3)]
+                                   for i, d in enumerate(a2)]))
+    out = tmp_path / "rep.json"
+    assert _run(["hpr-check", "--n", "2", "--A-file", a_file, "--A2-file", str(a2_file),
+                 "--out", str(out)]) == code
+    c = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "c_identity")
+    assert c["pass"] == (code == 0) and (c["max_residual"] is None) == (code == 1)
+    capsys.readouterr()
+
+
+def test_spectral_without_interior_sample_fails_its_eigenstructure_checks(
+        tmp_path, monkeypatch, capsys):
+    # mu = 1 everywhere: no sample has 0.05 < mu < 0.95, so the three checks
+    # read at an interior sample are written as null and fail
+    from kahlerlab.spectral import PolynomialSolution
+    orig = PolynomialSolution.mu_jet
+    monkeypatch.setattr(PolynomialSolution, "mu_jet",
+                        lambda self, point, order: orig(self, point, order) * 0.0 + 1.0)
+    out = tmp_path / "rep.json"
+    assert _run(["spectral", "--n", "2", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("eigenstructure_multiplicities", "lambda_eigenspace_angle", "hessian_mu"):
+        assert checks[name]["max_residual"] is None and not checks[name]["pass"]
+    capsys.readouterr()
+
+
+def test_mobility_cli_fs4_full_fiber(tmp_path, capsys):
+    # CP(4) at B = -1/4 has the full (n+1)^2 = 25-dimensional solution space
+    out = tmp_path / "mob.json"
+    assert _run(["mobility", "--model", "fs", "--n", "4", "--B", "-0.25",
+                 "--expect-dim", "25", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["dimension"] == 25
+    capsys.readouterr()

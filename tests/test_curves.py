@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from kahlerlab.curves import (CurveSample, energy_drift, hplanarity_defect,
-                              integrate_hplanar, integrate_hplanar_batch,
-                              killing_integral_drift, line_deviation,
-                              reparametrization_invariance_check,
-                              rk4_order_ratio)
+from kahlerlab.curves import (ORDER_STEPS, ORDER_T_END, CurveSample, energy_drift,
+                              hplanarity_defect, integrate_hplanar,
+                              integrate_hplanar_batch, killing_integral_drift,
+                              line_deviation, poly_coefficient,
+                              reparametrization_invariance_check, rk4_order_ratio)
 from kahlerlab.errors import (InvalidInputError, OutOfDomainError,
                               UnsupportedModelError)
 from kahlerlab.models import ChartPoint, flat_model, fubini_study, pullback_fs
@@ -73,22 +73,23 @@ def test_reparametrization_invariance_planar(fs2, rng):
 
 def _reference_integrate(model, x0, v0, alpha, beta, t_end, step):
     """Per-point RK4 loop with single-point geometry and chart switching,
-    for constant alpha and beta: the reference for the lockstep batch.
-    Returns (charts, coords)."""
+    for constant or time-dependent alpha and beta: the reference for the
+    lockstep batch.  Returns (charts, coords)."""
     chart, x, v = x0.chart, np.array(x0.coords, dtype=float), np.array(v0, dtype=float)
     charts, coords = [chart], [x]
 
-    def acc(xx, vv):
+    def acc(xx, vv, t):
         _, gamma = oracle_geometry(model.metric_fn(chart), xx)
+        a, b = (c(t) if callable(c) else c for c in (alpha, beta))
         return (-np.einsum("ijk,j,k->i", gamma, vv, vv)
-                + alpha * vv + beta * (model.j_matrix(chart) @ vv))
+                + a * vv + b * (model.j_matrix(chart) @ vv))
 
     for s in range(int(np.ceil(t_end / step))):
-        h = min(step, t_end - s * step)
-        k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + h / 2 * k1v, acc(x + h / 2 * k1x, v + h / 2 * k1v)
-        k3x, k3v = v + h / 2 * k2v, acc(x + h / 2 * k2x, v + h / 2 * k2v)
-        k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
+        t, h = s * step, min(step, t_end - s * step)
+        k1x, k1v = v, acc(x, v, t)
+        k2x, k2v = v + h / 2 * k1v, acc(x + h / 2 * k1x, v + h / 2 * k1v, t + h / 2)
+        k3x, k3v = v + h / 2 * k2v, acc(x + h / 2 * k2x, v + h / 2 * k2v, t + h / 2)
+        k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v, t + h)
         x = x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not model.chart(chart).contains(x, 0.05):
@@ -103,19 +104,29 @@ def test_batch_switches_charts_per_curve(fs2, ga_diag):
     # curve A runs far enough to switch from c0 to c1; curve B stays in c0.
     # The pullback's chart metrics differ, so a curve evaluated in another
     # curve's chart shows there.
+    # The second batch runs both curves twice more, each with its own step and
+    # end time (partial last steps included), so curves drop out at
+    # different ticks and the rest tick on; the last two curves' coefficients
+    # depend on t, so each curve's own stage times show.
     for model in (fs2, ga_diag):
-        x0s = [model.point([0.0] * 4), model.point([0.1, -0.05, 0.2, 0.0])]
-        v0s = [np.array([1.2, 0.0, 0.0, 0.0]), np.array([0.5, 0.2, -0.1, 0.3])]
-        alphas, betas = [0.0, -0.2], [0.0, 0.4]
-        batch = integrate_hplanar_batch(model, x0s, v0s, alphas, betas, 3.0, 1e-2)
-        for b, curve in enumerate(batch):
-            charts, coords = _reference_integrate(model, x0s[b], v0s[b], alphas[b],
-                                                  betas[b], 3.0, 1e-2)
-            assert [p.chart for p in curve.points] == charts
-            got = np.stack([p.coords for p in curve.points])
-            assert np.max(np.abs(got - coords)) < 1e-12
-        assert {p.chart for p in batch[0].points} == {"c0", "c1"}
-        assert {p.chart for p in batch[1].points} == {"c0"}
+        x0s = [model.point([0.0] * 4), model.point([0.1, -0.05, 0.2, 0.0])] * 2
+        v0s = [np.array([1.2, 0.0, 0.0, 0.0]), np.array([0.5, 0.2, -0.1, 0.3])] * 2
+        alphas = [0.0, -0.2, lambda t: 0.3 * np.sin(2 * t), poly_coefficient(-0.2, 0.5)]
+        betas = [0.0, 0.4, poly_coefficient(0.1, -0.6, 0.3), lambda t: 0.4 * np.cos(t)]
+        for t_ends, steps in (([3.0] * 2, [1e-2] * 2),
+                              ([3.0, 1.234, 2.5, 0.77], [1e-2, 2e-2, 2.5e-2, 3e-3])):
+            k = len(steps)
+            batch = integrate_hplanar_batch(model, x0s[:k], v0s[:k], alphas[:k],
+                                            betas[:k], t_ends, steps)
+            for b, curve in enumerate(batch):
+                charts, coords = _reference_integrate(model, x0s[b], v0s[b], alphas[b],
+                                                      betas[b], t_ends[b], steps[b])
+                assert [p.chart for p in curve.points] == charts
+                got = np.stack([p.coords for p in curve.points])
+                assert np.max(np.abs(got - coords)) < 1e-12
+                assert curve.times[-1] == pytest.approx(t_ends[b], abs=1e-12)
+            assert {p.chart for p in batch[0].points} == {"c0", "c1"}
+            assert {p.chart for p in batch[1].points} == {"c0"}
 
 
 def test_killing_integral_drift(fs2, pair_sol, rng):
@@ -131,9 +142,22 @@ def test_killing_integral_drift(fs2, pair_sol, rng):
 
 
 def test_rk4_order(fs2, rng):
-    ratio = rk4_order_ratio(fs2, fs2.point([0.1, 0.0, -0.1, 0.2]),
-                            np.array([0.5, -0.3, 0.2, 0.4]), 0.1, 0.2, 0.5, 4e-3)
+    k = len(ORDER_STEPS)
+    ladder = integrate_hplanar_batch(fs2, [fs2.point([0.1, 0.0, -0.1, 0.2])] * k,
+                                     [np.array([0.5, -0.3, 0.2, 0.4])] * k, [0.1] * k,
+                                     [0.2] * k, ORDER_T_END, ORDER_STEPS)
+    ratio = rk4_order_ratio([c.points[-1].coords for c in ladder])
     assert 12.0 <= ratio <= 20.0
+
+
+def test_rk4_order_ratio_reads_the_ladder():
+    # endpoints e0 + c h^4 give 16; with c = 1e-5 the finest difference is
+    # round-off and the ratio moves up to the coarse triple; equal endpoints
+    # give 0.0
+    e0 = np.array([0.3, -0.2, 0.1, 0.4])
+    assert rk4_order_ratio([e0 + h ** 4 for h in ORDER_STEPS]) == pytest.approx(16.0, rel=1e-6)
+    assert rk4_order_ratio([e0 + 1e-5 * h ** 4 for h in ORDER_STEPS]) == pytest.approx(16.0, rel=1e-2)
+    assert rk4_order_ratio([e0] * len(ORDER_STEPS)) == 0.0
 
 
 def test_chart_switching_long_geodesic(fs2):
@@ -198,6 +222,10 @@ def test_invalid_inputs(flat2):
         integrate_hplanar_batch(flat2, [x0], [v0], [0.0, 0.0], [0.0])
     with pytest.raises(InvalidInputError):
         integrate_hplanar_batch(flat2, [x0, x0], [v0, np.zeros(4)], [0.0] * 2, [0.0] * 2)
+    with pytest.raises(InvalidInputError):
+        integrate_hplanar(flat2, x0, v0, t_end=-1.0)
+    with pytest.raises(InvalidInputError):    # one step per curve, one of them zero
+        integrate_hplanar_batch(flat2, [x0, x0], [v0, v0], [0.0] * 2, [0.0] * 2, 1.0, [1e-2, 0.0])
 
 
 def test_poly_coefficient_builtin(fs2, rng):

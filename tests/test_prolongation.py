@@ -6,7 +6,8 @@ from kahlerlab.errors import (DegenerateMetricError, InvalidInputError,
 from kahlerlab.geometry import riemann
 from kahlerlab.hproj import ExplicitSolution, TrivialSolution, geom
 from kahlerlab.jets import Jet, jet_space
-from kahlerlab.models import flat_torus, fubini_study, product_model, rescale_model
+from kahlerlab.models import (flat_torus, fubini_study, product_model, pullback_fs,
+                              rescale_model)
 from kahlerlab import prolongation
 from kahlerlab.prolongation import (MobilityConfig, Path, ProlongedState,
                                     TannoSolution, constant_curvature_tensor,
@@ -324,6 +325,16 @@ def test_mobility_pullback_model(ga_diag, rng):
     report = degree_of_mobility(ga_diag, -0.25, ga_diag.point(np.zeros(4)), cfg)
     assert report.dimension == 9
     _assert_certified(ga_diag, report, rng)
+
+
+def test_unitary_pullback_has_the_mobility_of_fs(rng):
+    # a unitary U is an isometry of Fubini-Study, so pullback_fs(U) has the
+    # full kernel at B = -1/4, and the pencil sweep finds that constant
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    model = pullback_fs(U)
+    assert degree_of_mobility(model, -0.25).dimension == 9
+    report = degree_of_mobility(model, None)
+    assert report.dimension == 9 and abs(report.B + 0.25) <= 1e-12
 
 
 def test_mobility_anisotropic_torus(rng):
