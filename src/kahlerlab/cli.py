@@ -75,7 +75,17 @@ def _pullback(args, path):
 
 
 def _pair_solution(args):
-    """(g, gbar) pair: the projective model and a linear pullback of it."""
+    """(g, gbar) pair: the projective model and a linear pullback of it.
+    Model input the pair cannot use is refused, not ignored."""
+    if isinstance(args.model, dict):
+        raise ConfigError(f"{args.scenario} pairs fs with a pullback of it; "
+                          "it cannot use a config model object")
+    unused = [flag for flag, given in ((f"--model {args.model}", args.model != "fs"),
+                                       ("--diag", args.diag is not None),
+                                       ("--periods", args.periods is not None)) if given]
+    if unused:
+        raise InvalidInputError(f"{args.scenario} pairs fs with a pullback of it; "
+                                f"it cannot use {', '.join(unused)}")
     g_model = fubini_study(args.n, args.chart_index)
     gbar = (_pullback(args, args.A_file) if args.A_file else
             pullback_fs(np.diag([2.0] + [1.0] * args.n), args.chart_index))

@@ -102,6 +102,8 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
         raise InvalidInputError("a batch needs at least one curve")
     if not len(v0s) == len(alphas) == len(betas) == nb:
         raise InvalidInputError("x0s, v0s, alphas and betas must have equal lengths")
+    if any(np.ndim(v) and np.shape(v) != (nb,) for v in (t_end, step)):
+        raise InvalidInputError("t_end and step must be one value or one per curve")
     t_ends, steps = np.full(nb, t_end, dtype=float), np.full(nb, step, dtype=float)
     if not (np.all(steps > 0) and np.all(t_ends >= 0)):
         raise InvalidInputError("step must be positive and t_end not negative")

@@ -16,6 +16,8 @@ The first-order system these should satisfy is
 with lbar_i = J^a_i lambda_a and J_jk = g_ja J^a_k; `hpr_residual` measures
 its defect.  Every field and residual reads the metric, inverse-metric and
 connection jets at a point from `geom`, one memo shared by all models.
+That memo, and a pair solution's a-jet memo, hold one entry per point at
+the highest order asked there and serve lower orders by truncation.
 Everything here is pointwise-parallel.
 """
 
@@ -29,31 +31,56 @@ from .tensors import hermitize, jtensor_contract
 
 # -- geometry at a point -----------------------------------------------------
 
+_MEMO_BOUND = 512
 _GEOM_MEMO = {}
 _DET_FLOOR = 1e-12
 
 
+def _highest_order(memo, key, order, build):
+    """The jets memoized at ``key``, built by ``build(order)`` when absent or
+    of lower order than ``order``.  An entry keeps the highest order asked
+    at its key, so a caller truncates it to the order it asked for: the
+    order-q coefficients of an order-p jet are the order-q jet (see jets).
+    A memo past _MEMO_BOUND entries is emptied before it grows."""
+    hit = memo.get(key)
+    if hit is None or hit[0] < order:
+        if len(memo) > _MEMO_BOUND:
+            memo.clear()
+        hit = memo[key] = (order, build(order))
+    return hit[1]
+
+
+def _read_only(jet):
+    """``jet`` with its coefficients made read-only, so that a caller writing
+    into a memoized jet (or a truncation of one) fails instead of corrupting it."""
+    jet.coef.flags.writeable = False
+    return jet
+
+
+def _geom_entry(model, point, order):
+    gjet = jet_eval(model.metric_fn(point.chart), list(point.coords), order)
+    det = abs(float(np.linalg.det(gjet.const)))
+    scale = float(np.prod(np.linalg.norm(gjet.const, axis=1)))
+    if det <= _DET_FLOOR * max(scale, 1e-300):
+        raise SingularMetricError(f"|det g| = {det:.3e} below threshold")
+    ginv = _read_only(jet_matrix_inverse(gjet))
+    gamma = _read_only(christoffel_jet(gjet, ginv)) if order >= 1 else None
+    return _read_only(gjet), ginv, gamma
+
+
 def geom(model, point, order):
     """Jets of the metric, its inverse and (order >= 1) the connection, one
-    order lower, at a chart point, with the chart's J; memoized per model,
-    chart point and order.  A metric whose |det| is below _DET_FLOOR times
-    the product of its row norms raises SingularMetricError."""
-    key = (model, point.chart, point.coords.tobytes(), order)
-    hit = _GEOM_MEMO.get(key)
-    if hit is None:
-        gjet = jet_eval(model.metric_fn(point.chart), list(point.coords), order)
-        det = abs(float(np.linalg.det(gjet.const)))
-        scale = float(np.prod(np.linalg.norm(gjet.const, axis=1)))
-        if det <= _DET_FLOOR * max(scale, 1e-300):
-            raise SingularMetricError(f"|det g| = {det:.3e} below threshold")
-        ginv = jet_matrix_inverse(gjet)
-        hit = {"g": gjet, "ginv": ginv,
-               "gamma": christoffel_jet(gjet, ginv) if order >= 1 else None,
-               "J": model.j_matrix(point.chart)}
-        if len(_GEOM_MEMO) > 512:
-            _GEOM_MEMO.clear()
-        _GEOM_MEMO[key] = hit
-    return hit
+    order lower, at a chart point, with the chart's J.  Memoized with one
+    entry per model, chart and point, at the highest order asked there; a
+    lower order is served by truncating that entry.  The jets' coefficients
+    are read-only.  A metric whose |det| is below _DET_FLOOR times the
+    product of its row norms raises SingularMetricError."""
+    key = (model, point.chart, point.coords.tobytes())
+    gjet, ginv, gamma = _highest_order(_GEOM_MEMO, key, order,
+                                       lambda p: _geom_entry(model, point, p))
+    return {"g": gjet.truncate(order), "ginv": ginv.truncate(order),
+            "gamma": gamma.truncate(order - 1) if order >= 1 else None,
+            "J": model.j_matrix(point.chart)}
 
 
 # -- solution fields --------------------------------------------------------
@@ -136,16 +163,24 @@ class SolutionField:
 
 class PairSolution(SolutionField):
     """Comparison-tensor solution built from two Kähler metrics on the same
-    charts and complex structure."""
+    charts and complex structure.
+
+    The a-jet at a point is built once, at the highest order asked there,
+    and a lower order is served by truncating it.  The memo is bounded,
+    its jets are read-only, and ``with_B`` copies share it: a does not
+    depend on B."""
 
     def __init__(self, g_model, gbar_model, B=None):
         super().__init__(g_model, B)
         if gbar_model.dim != g_model.dim:
             raise ShapeMismatchError("metric pair must share the dimension")
         self.gbar_model = gbar_model
+        self._a_memo = {}
 
     def a_jet(self, point, order):
-        return pair_a_jet(self.model, self.gbar_model, point, order)
+        key = (point.chart, point.coords.tobytes())
+        return _highest_order(self._a_memo, key, order, lambda p: _read_only(
+            pair_a_jet(self.model, self.gbar_model, point, p))).truncate(order)
 
 
 class TrivialSolution(SolutionField):

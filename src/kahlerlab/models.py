@@ -205,6 +205,15 @@ def _coordinate_jet(xs):
     return Jet(jet_space(len(xs), 0), np.asarray(xs, dtype=float)[None])
 
 
+def _times(X, M):
+    """The jet of X @ M over X's last payload axis, one Taylor coefficient
+    at a time: one product over all coefficients lets BLAS pick its kernel
+    by their count, and the low-order coefficients of jets of different
+    orders would then differ in the last bit."""
+    coef = X.coef.reshape(X.coef.shape[0], -1, X.coef.shape[-1])
+    return Jet(X.space, np.matmul(coef, M).reshape(X.coef.shape[:-1] + M.shape[-1:]))
+
+
 def homogeneous_map(n, chart_index, A=None):
     """(P, w0) of the realified map x -> W = P x + w0 from affine chart
     `chart_index` of CP(n) to homogeneous coordinates, followed by the linear
@@ -228,8 +237,8 @@ def _pullback_metric_fn(n, chart_index, A):
     def fn(xs):
         X = _coordinate_jet(xs)
         sp = X.space
-        W = Jet(sp, X.coef @ P.T) + w0
-        U = Jet(sp, W.coef @ P)
+        W = _times(X, P.T) + w0
+        U = _times(W, P)
         r = Jet(sp, (W * W).coef.sum(axis=-1)).reciprocal()[..., None]
         V = r * U                                   # U / s, so V V^T = U U^T / s^2
         VV = Jet(sp, jtensor_contract((V[..., :, None] * V[..., None, :]).coef, J))
@@ -248,7 +257,7 @@ def _transition(n, src, dst):
 
     def fn(xs):
         X = _coordinate_jet(xs)
-        W = Jet(X.space, X.coef @ P.T) + w0
+        W = _times(X, P.T) + w0
         re, im = W[..., 0::2], W[..., 1::2]
         a, b = re[..., keep], im[..., keep]
         c, d = re[..., dst:dst + 1], im[..., dst:dst + 1]

@@ -229,6 +229,11 @@ def test_report_model_field_rebuilds_the_model(tmp_path, a_file, capsys):
     ["mobility", "--model", "fs", "--n", "1", "--B", "-0.25"],
     ["hplanar", "--model", "pullback", "--A-file", "A.json", "--chart-index", "5"],
     ["verify-kahler", "--model", "pullback", "--A-file", "A.json", "--chart-index", "5"],
+    # the pair scenarios pair fs with a pullback of it: other model input is refused
+    ["hpr-check", "--model", "torus", "--samples", "2"],
+    ["spectral", "--model", "flat", "--samples", "2"],
+    ["tanno", "--diag", "1", "2", "--samples", "2"],
+    ["hpr-check", "--periods", "2", "--samples", "2"],
 ])
 def test_invalid_input_exit_2(tmp_path, capsys, a_file, argv):
     argv = [a_file if a == "A.json" else a for a in argv]
@@ -360,4 +365,61 @@ def test_mobility_cli_fs4_full_fiber(tmp_path, capsys):
     assert _run(["mobility", "--model", "fs", "--n", "4", "--B", "-0.25",
                  "--expect-dim", "25", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["dimension"] == 25
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario", ["hpr-check", "spectral", "tanno"])
+def test_pair_scenarios_refuse_a_config_model_exit_2(tmp_path, capsys, scenario):
+    cfg = tmp_path / "tori3.json"
+    torus = {"kind": "torus", "n": 2, "periods": 1.0}
+    cfg.write_text(json.dumps({"model": {"kind": "product", "n": 6,
+                                         "factors": [torus, torus, torus]}}))
+    out = tmp_path / "rep.json"
+    assert _run([scenario, "--config", str(cfg), "--samples", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+A_DIAG211H = [[[d if i == j else 0, 0] for j in range(4)] for i, d in enumerate([2, 1, 1, 0.5])]
+
+
+@pytest.fixture
+def pair_ops(tmp_path):
+    """The pair scenarios as the benchmark's residuals-order3 workload runs them."""
+    path = tmp_path / "A_diag211h.json"
+    path.write_text(json.dumps(A_DIAG211H))
+    return [[name, "--n", "3", "--A-file", str(path)] for name in ("hpr-check", "spectral", "tanno")]
+
+
+def test_pair_scenarios_build_the_a_jet_at_most_twice_per_point(tmp_path, pair_ops,
+                                                                monkeypatch, capsys):
+    # a pair solution builds its a-jet at a point at the highest order asked so far
+    # and truncates it for lower orders (20 sample points per scenario)
+    from kahlerlab import hproj
+    builds = []
+    orig = hproj.pair_a_jet
+    monkeypatch.setattr(hproj, "pair_a_jet", lambda *a: builds.append(a[-1]) or orig(*a))
+    for argv in pair_ops:
+        builds.clear()
+        assert _run(argv + ["--out", str(tmp_path / "rep.json")]) == 0
+        assert len(builds) <= 2 * 20, (argv[0], len(builds))
+    capsys.readouterr()
+
+
+def test_pair_reports_do_not_depend_on_the_geometry_memo(tmp_path, pair_ops, capsys):
+    # twice in one process (the second run finds the geometry memo warm), then
+    # once more after clearing it: the same report bytes each time
+    from kahlerlab import hproj
+    hproj._GEOM_MEMO.clear()
+    runs = []
+    for k in range(3):
+        if k == 2:
+            hproj._GEOM_MEMO.clear()
+        reports = []
+        for argv in pair_ops:
+            out = tmp_path / f"{argv[0]}.{k}.json"
+            assert _run(argv + ["--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        runs.append(reports)
+    assert runs[0] == runs[1] == runs[2]
     capsys.readouterr()

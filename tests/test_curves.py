@@ -226,6 +226,10 @@ def test_invalid_inputs(flat2):
         integrate_hplanar(flat2, x0, v0, t_end=-1.0)
     with pytest.raises(InvalidInputError):    # one step per curve, one of them zero
         integrate_hplanar_batch(flat2, [x0, x0], [v0, v0], [0.0] * 2, [0.0] * 2, 1.0, [1e-2, 0.0])
+    with pytest.raises(InvalidInputError):    # two curves, three steps
+        integrate_hplanar_batch(flat2, [x0, x0], [v0, v0], [0.0] * 2, [0.0] * 2, 1.0, [1e-2] * 3)
+    with pytest.raises(InvalidInputError):    # two curves, one end time
+        integrate_hplanar_batch(flat2, [x0, x0], [v0, v0], [0.0] * 2, [0.0] * 2, [1.0], 1e-2)
 
 
 def test_poly_coefficient_builtin(fs2, rng):

@@ -10,8 +10,8 @@ from kahlerlab.hproj import (CombinationSolution, PairSolution, PsiSolution,
                              killing_residual, lambda_from_a,
                              lambda_least_squares, pair_a_jet, psi_infinitesimal)
 from kahlerlab.jets import jet_matrix_inverse
-from kahlerlab.models import (KahlerModel, flat_model, fubini_study, pullback_fs,
-                              rescale_model, standard_J)
+from kahlerlab.models import (KahlerModel, flat_model, flat_torus, fubini_study,
+                              product_model, pullback_fs, rescale_model, standard_J)
 
 
 def _a_pair_oracle(g, gbar, n):
@@ -426,3 +426,77 @@ def test_is_verified_solution_and_json_export(fs2, pair_sol, rng):
     assert np.array(entry["a"]).shape == (4, 4)
     assert len(entry["lambda"]) == 4
     assert isinstance(entry["mu"], float)
+
+
+# -- memoized jets: one entry per point, lower orders served by truncation -----
+
+MEMO_MODELS = {
+    "fs": lambda: fubini_study(2),
+    "pullback": lambda: pullback_fs(np.diag([2.0, 1.0, 1.0]) + 0.3j * np.eye(3, k=1)),
+    "flat": lambda: flat_model(2, [1.0, -2.0]),
+    "torus": lambda: flat_torus(2, 1.0),
+    "product": lambda: product_model([fubini_study(2), flat_model(2)], [1.0, 2.0]),
+}
+
+
+def _same_jet(a, b):
+    return a.space is b.space and np.array_equal(a.coef, b.coef)
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_MODELS))
+def test_geom_serves_lower_orders_exactly(kind, rng):
+    # the order-q part of a memoized order-p entry is the order-q evaluation, bit for bit
+    from kahlerlab import hproj
+    model = MEMO_MODELS[kind]()
+    p = model.sample_points(rng, 1)[0]
+    for top in (1, 2, 3):
+        for q in range(top):
+            hproj._GEOM_MEMO.clear()
+            geom(model, p, top)
+            served = geom(model, p, q)
+            hproj._GEOM_MEMO.clear()
+            fresh = geom(model, p, q)
+            assert _same_jet(served["g"], fresh["g"]) and _same_jet(served["ginv"], fresh["ginv"])
+            assert (q == 0 and served["gamma"] is None and fresh["gamma"] is None
+                    or _same_jet(served["gamma"], fresh["gamma"]))
+
+
+def test_pair_a_jet_serves_lower_orders_exactly(fs2, ga_diag, rng, monkeypatch):
+    from kahlerlab import hproj
+    builds = []
+    monkeypatch.setattr(hproj, "pair_a_jet", lambda *a: builds.append(a[-1]) or pair_a_jet(*a))
+    p = fs2.point(rng.uniform(-0.5, 0.5, 4))
+    for top in range(1, 5):
+        for q in range(top):
+            hproj._GEOM_MEMO.clear()
+            sol = PairSolution(fs2, ga_diag)
+            sol.a_jet(p, top)
+            served = sol.with_B(-0.25).a_jet(p, q)     # with_B copies share the memo
+            assert builds[-1] == top
+            hproj._GEOM_MEMO.clear()
+            fresh = PairSolution(fs2, ga_diag).a_jet(p, q)
+            assert _same_jet(served, fresh)
+
+
+def test_memoized_jets_are_read_only(fs2, ga_diag, rng):
+    p = fs2.point(rng.uniform(-0.5, 0.5, 4))
+    sol = PairSolution(fs2, ga_diag)
+    served = [geom(fs2, p, 2)["g"], geom(fs2, p, 1)["gamma"], geom(fs2, p, 0)["ginv"],
+              sol.a_jet(p, 2), sol.a_jet(p, 0)]
+    for jet in served:
+        with pytest.raises(ValueError):
+            jet.coef[0] = 0.0
+
+
+def test_geom_memo_holds_one_entry_per_point_within_its_bound(rng):
+    from kahlerlab import hproj
+    fs2 = fubini_study(2)
+    hproj._GEOM_MEMO.clear()
+    for k in range(5):
+        p = fs2.point(rng.uniform(-0.5, 0.5, 4))
+        for order in (0, 2, 1, 3):
+            geom(fs2, p, order)
+        assert len(hproj._GEOM_MEMO) == k + 1     # one entry per point, not per order
+    for _ in range(hproj._MEMO_BOUND + 100):
+        geom(fs2, fs2.point(rng.uniform(-0.5, 0.5, 4)), 0)
+        assert len(hproj._GEOM_MEMO) <= hproj._MEMO_BOUND + 1
