@@ -7,6 +7,7 @@ seed (sample points are drawn from a seeded generator; no timestamps).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -92,6 +93,14 @@ def _pair_solution(args):
     return g_model, PairSolution(g_model, gbar)
 
 
+def _build_a_jets(sol, points, order):
+    """Build the pair a-jet at each point at ``order``, the highest order
+    the scenario reads there: every later read truncates it (see
+    ``PairSolution``), so each point builds it once."""
+    for p in points:
+        sol.a_jet(p, order)
+
+
 # -- scenarios -----------------------------------------------------------------
 
 def run_verify_kahler(args, rng):
@@ -129,6 +138,7 @@ def run_hpr_check(args, rng):
     g_model, sol = _pair_solution(args)
     tol = args.tol if args.tol else 1e-7
     pts = g_model.sample_points(rng, args.samples)
+    _build_a_jets(sol, pts, 2)      # the gradient of lambda reads order 2
     worst_hpr = max(float(np.max(np.abs(hpr_residual(g_model, sol, p)))) for p in pts)
     lam_max = max(float(np.max(np.abs(sol.lam_at(p)))) for p in pts)
     worst_kill = 0.0
@@ -191,6 +201,11 @@ def run_spectral(args, rng):
     g_model, sol = _pair_solution(args)
     tol = args.tol if args.tol else 1e-5
     pts = g_model.sample_points(rng, max(args.samples, 4))
+    # order 3 for the square solution's residual at the first five points;
+    # order 4 at pts[0], where the projector is made, for the Hessian check
+    # at the first interior sample (the search starts there)
+    _build_a_jets(sol, pts[:1], 4)
+    _build_a_jets(sol, pts[1:5], 3)
     B = args.B if args.B is not None else float(np.mean(
         [estimate_B(g_model, sol, p)[0] for p in pts[:5]]))
     m1, s1 = renormalize_to_minus_one(g_model, sol.with_B(B))
@@ -250,6 +265,7 @@ def run_tanno(args, rng):
     g_model, sol = _pair_solution(args)
     tol = args.tol if args.tol else 1e-5
     pts = g_model.sample_points(rng, args.samples)
+    _build_a_jets(sol, pts[:5], 3)  # the round trip reads order 3 there
     kappa = args.B if args.B is not None else float(np.mean(
         [estimate_B(g_model, sol, p)[0] for p in pts[:5]]))
     solB = sol.with_B(kappa)
@@ -416,6 +432,13 @@ def build_parser(defaults=None):
     return parser
 
 
+@functools.cache
+def _flag_parser():
+    """The parser of runs without ``--config``, built once per process; a
+    config run builds its own, with the file's values as defaults."""
+    return build_parser()
+
+
 def _check_sizes(samples, step):
     """Refuse a sample count below 1 or a step <= 0.  Config values are checked
     as written, before argparse converts string defaults."""
@@ -444,8 +467,7 @@ def _apply_config(args, argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _flag_parser().parse_args(argv)
     if args.scenario is None or args.scenario == "list":
         names = sorted(SCENARIOS)
         if getattr(args, "json", False):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInputError, ShapeMismatchError, SingularMetricError
 from .geometry import christoffel_jet, cov_step_jet, riemann
 from .jets import Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_inverse
-from .tensors import hermitize, jtensor_contract
+from .tensors import hermitize
 
 
 # -- geometry at a point -----------------------------------------------------
@@ -386,13 +386,40 @@ def curvature_condition(a, dlam, R, gm, J):
 
     with dl = nabla lambda and Jproj the J-pair projection on (i, j).  Leading
     axes of ``a`` and ``dlam`` are a batch; returns (..., i, j, k, l).
+
+    The projected bracket is Q + swap_ij(Q) - swap_kl(Q) - swap_ij(swap_kl(Q))
+    with Q_ijkl = dl_li g_jk + (dl J)_li (J^T g)_jk, so the defect is
+    Y + swap_ij(Y) with Y = a_ia R^a_jkl - Q_ijkl + Q_ijlk.  Y is one matmul
+    of [a | dl^T | (dl J)^T] against [R; E(g); E(J^T g)] (see ``_kl_skew``),
+    and the i <-> j sum is taken in place one row i at a time: the peak
+    memory is the output plus about 2/d of it.
     """
-    lhs = (np.einsum("...ia,ajkl->...ijkl", a, R)
-           + np.einsum("...ja,aikl->...ijkl", a, R))
-    # the bracket, laid out (k, l, i, j) so that the projection acts on its last pair
-    T = (np.einsum("...li,jk->...klij", dlam, gm) + np.einsum("...lj,ik->...klij", dlam, gm)
-         - np.einsum("...ki,jl->...klij", dlam, gm) - np.einsum("...kj,il->...klij", dlam, gm))
-    return lhs - np.moveaxis(jtensor_contract(T, J), (-2, -1), (-4, -3))
+    a = np.asarray(a, dtype=float)
+    dlam = np.asarray(dlam, dtype=float)
+    gm = np.asarray(gm, dtype=float)
+    J = np.asarray(J, dtype=float)
+    d = gm.shape[-1]
+    left = np.concatenate(np.broadcast_arrays(
+        a, np.swapaxes(dlam, -1, -2), np.swapaxes(dlam @ J, -1, -2)), axis=-1)
+    right = np.concatenate([np.reshape(R, (d, d ** 3)), _kl_skew(gm), _kl_skew(J.T @ gm)])
+    out = (left.reshape(-1, 3 * d) @ right).reshape(left.shape[:-1] + (d,) * 3)
+    del left, right     # the i <-> j sum below needs only the output
+    for i in range(d):
+        row = out[..., i, i:, :, :] + out[..., i:, i, :, :]
+        out[..., i, i:, :, :] = row
+        out[..., i:, i, :, :] = row
+    return out
+
+
+def _kl_skew(v):
+    """E[m, (j, k, l)] = v_jl delta_km - v_jk delta_lm as a (d, d^3) matrix,
+    so that (u @ E)_jkl = u_k v_jl - u_l v_jk."""
+    d = v.shape[0]
+    m = np.arange(d)
+    e = np.zeros((d,) * 4)
+    e[m, :, :, m] = -v
+    e[m, :, m, :] += v
+    return e.reshape(d, d ** 3)
 
 
 # -- residuals ---------------------------------------------------------------

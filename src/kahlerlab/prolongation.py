@@ -418,7 +418,7 @@ class MobilityReport:
     basis: list         # prolonged states at base_point
     constraint_history: list
     singular_values: list
-    gap: float          # None where the rank has no cut (see degree_of_mobility)
+    gap: float          # None where no cut is above round-off (see degree_of_mobility)
     base_point: object
     stabilized: bool    # the rank stop rule fired before the batches ran out
     warning: str = None
@@ -463,6 +463,24 @@ def _constraint_rows(model, B, batch, start, states, step):
         a = _transport_batch(model, B, [seg], *states, step)[0]
     g = geom(model, model.point(payload, start.chart), 2)
     return _int_cond_rows(g["g"].const, g["J"], riemann(g["gamma"]), B, a)
+
+
+def _row_norms(raw):
+    """Euclidean norms of the rows of ``raw``, summed one state column at a
+    time: no temporary the size of ``raw``, and the same sums, in the same
+    order, as ``np.linalg.norm(raw, axis=1)``."""
+    sq = np.zeros(raw.shape[0])
+    for col in raw.T:
+        sq += col * col
+    return np.sqrt(sq)
+
+
+def _canonical_order(rows):
+    """``rows`` sorted by their bytes, so the stacked constraint matrix, and
+    every singular value of it, does not depend on the order a batch
+    computes its rows in."""
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return rows[np.argsort(keys, kind="stable")]
 
 
 def _canonical_basis(kernel):
@@ -514,7 +532,11 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     closure around lattice, rectangle and random loops.  Batches accumulate
     until the rank is the same three times in a row (``stabilized``); the
     kernel of the stacked constraint matrix is returned as a basis of
-    prolonged states at the base point.
+    prolonged states at the base point.  Each batch's unit rows are stacked
+    in a canonical order, and singular values at or below the round-off
+    floor N eps s_0 (N the fiber dimension, s_0 the largest) are reported
+    as 0.0, with no ``gap`` across the cut: nothing in the report depends
+    on the order of the rows.
 
     With B None, each candidate of the curvature pencil at the base point
     is run in turn, largest multiplicity first, and the largest kernel is
@@ -566,10 +588,12 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     stabilized = False
     for batch in batches[:config.max_batches]:
         raw = _constraint_rows(model, B, batch, base_point, states, config.step)
-        norms = np.linalg.norm(raw, axis=1)
+        norms = _row_norms(raw)
         keep = norms > ROW_FLOOR
         if np.any(keep):
-            rows.append(raw[keep] / norms[keep, None])
+            kept = raw[keep]
+            kept /= norms[keep, None]
+            rows.append(_canonical_order(kept))
         if rows:
             sv = np.linalg.svd(np.concatenate(rows, axis=0), compute_uv=False)
         new_rank = int(np.sum(sv > SVD_TOL * sv[0])) if rows else 0
@@ -594,8 +618,10 @@ def degree_of_mobility(model, B, base_point=None, config=None):
         kernel = vt[rank:]
     else:
         s, kernel = sv, np.eye(N)
-    # the ratio across the rank cut; undefined (None) at rank 0 or full rank
-    gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) and s[rank] > 0 else None
+    # the ratio across the rank cut; None at rank 0, at full rank, and where
+    # the values past the cut are round-off (at or below the floor)
+    floor = N * np.finfo(float).eps * sv[0] if len(sv) else 0.0
+    gap = float(s[rank - 1] / s[rank]) if 0 < rank < len(s) and s[rank] > floor else None
 
     coef = _canonical_basis(kernel)
     J = model.j_matrix(base_point.chart)
@@ -603,7 +629,7 @@ def degree_of_mobility(model, B, base_point=None, config=None):
                             float(row @ states[2])).projected(J) for row in coef]
     return MobilityReport(B=B, dimension=dim, basis=basis,
                           constraint_history=history,
-                          singular_values=[float(x) for x in sv],
+                          singular_values=[float(x) if x > floor else 0.0 for x in sv],
                           gap=gap, base_point=base_point, stabilized=stabilized,
                           warning=warning)
 
@@ -646,7 +672,7 @@ def kernel_certificate(model, B, base_point, states, points, step=2e-3):
             batches.append(("loop", lattice_loops(model, pt)[k % model.dim]))
         for batch in batches:
             rows = _constraint_rows(model, B, batch, pt, moved, step)
-            worst = max(worst, float(np.max(np.abs(rows))))
+            worst = max(worst, float(np.maximum(rows.max(), -rows.min())))
     return worst
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,15 @@ def rng():
 def sample_coords(rng, dim=4, half=0.6, count=1):
     pts = [rng.uniform(-half, half, dim) for _ in range(count)]
     return pts if count > 1 else pts[0]
+
+
+def traced_peak(fn, *args):
+    """(peak bytes that tracemalloc saw allocated during ``fn(*args)``, its
+    result).  numpy reports its array buffers to tracemalloc, so this is the
+    call's peak of numpy allocations, not the process's resident memory."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -28,6 +28,10 @@ it lifted whole curves through the realified chart map.
 The transport reference is the prolonged system's right-hand side along a
 curve, written index by index with einsum.
 
+The curvature-condition reference is the defect's former kernel: the two
+a R terms and the four bracket terms as einsum outer products, with the
+J-pair projection applied to the bracket laid out (k, l, i, j).
+
 The jet-arithmetic references build the Leibniz pairs of a jet space from its
 exponent dict in a double loop and add the terms up with ``np.add.at``;
 inverses come from Newton's iteration X <- X (2 - A X), and determinants
@@ -40,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from kahlerlab.jets import CNum, Jet, jet_eval
+from kahlerlab.tensors import jtensor_contract
 
 
 def _to_cnums(xs):
@@ -198,6 +203,19 @@ def rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu):
             + np.einsum("ai,na->ni", C, lam))
     dmu = 2.0 * B * (lam @ xdot)
     return da, dlam, dmu
+
+
+# -- curvature condition ------------------------------------------------------
+
+def curvature_condition_einsum(a, dlam, R, gm, J):
+    """a_ia R^a_jkl + a_ja R^a_ikl
+    - Jproj[dl_li g_jk + dl_lj g_ik - dl_ki g_jl - dl_kj g_il], batched over
+    the leading axes of ``a`` and ``dlam``; returns (..., i, j, k, l)."""
+    lhs = (np.einsum("...ia,ajkl->...ijkl", a, R)
+           + np.einsum("...ja,aikl->...ijkl", a, R))
+    T = (np.einsum("...li,jk->...klij", dlam, gm) + np.einsum("...lj,ik->...klij", dlam, gm)
+         - np.einsum("...ki,jl->...klij", dlam, gm) - np.einsum("...kj,il->...klij", dlam, gm))
+    return lhs - np.moveaxis(jtensor_contract(T, J), (-2, -1), (-4, -3))
 
 
 # -- jet arithmetic -----------------------------------------------------------

@@ -5,13 +5,17 @@ from kahlerlab.errors import SingularMetricError
 from kahlerlab.geometry import cov_step_jet
 from kahlerlab.hproj import (CombinationSolution, PairSolution, PsiSolution,
                              TrivialSolution, a_from_pair, c_identity_check,
-                             gbar_from_a, geom, hermitian_symmetric_basis,
+                             curvature_condition, gbar_from_a, geom,
+                             hermitian_symmetric_basis,
                              hpr_residual, integrability_residual,
                              killing_residual, lambda_from_a,
                              lambda_least_squares, pair_a_jet, psi_infinitesimal)
 from kahlerlab.jets import jet_matrix_inverse
 from kahlerlab.models import (KahlerModel, flat_model, flat_torus, fubini_study,
                               product_model, pullback_fs, rescale_model, standard_J)
+from kahlerlab.tensors import hermitize
+from conftest import traced_peak
+from oracles import curvature_condition_einsum
 
 
 def _a_pair_oracle(g, gbar, n):
@@ -309,7 +313,6 @@ def test_integrability_residual(fs2, flat2, pair_sol, rng):
 def test_integrability_detects_random_violation(fs2, ga_diag, rng):
     from kahlerlab.hproj import ExplicitSolution
     from kahlerlab.jets import Jet, jet_space
-    from kahlerlab.tensors import hermitize
     a0 = hermitize(rng.normal(size=(4, 4)), fs2.j_matrix())
 
     def const_a(point, order):
@@ -324,6 +327,40 @@ def test_integrability_detects_random_violation(fs2, ga_diag, rng):
     sol = ExplicitSolution(fs2, const_a, lam_builder=rand_lam)
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
     assert np.max(np.abs(integrability_residual(fs2, sol, p))) > 1e-3
+
+
+def _curvature_inputs(rng, d, count):
+    """A batch of symmetric a, general dlam, a curvature-shaped R and a
+    metric hermitian for the standard J in real dimension d."""
+    J = standard_J(d // 2)
+    m = rng.normal(size=(d, d))
+    gm = hermitize(m @ m.T, J) + d * np.eye(d)
+    a = rng.normal(size=(count, d, d))
+    dlam = rng.normal(size=(count, d, d))
+    return a + np.swapaxes(a, -1, -2), dlam, rng.normal(size=(d,) * 4), gm, J
+
+
+@pytest.mark.parametrize("d,count", [(4, 9), (8, 25), (12, 49)])
+def test_curvature_condition_matches_the_einsum_oracle(d, count, rng):
+    # a general dlam, and B a as the constraint rows pass it; batched and single
+    a, dlam, R, gm, J = _curvature_inputs(rng, d, count)
+    for dl in (dlam, -0.25 * a):
+        ref = curvature_condition_einsum(a, dl, R, gm, J)
+        got = curvature_condition(a, dl, R, gm, J)
+        assert got.shape == ref.shape == (count,) + (d,) * 4
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        one = curvature_condition(a[1], dl[1], R, gm, J)
+        assert np.max(np.abs(one - ref[1])) <= 1e-13 * np.max(np.abs(ref[1]))
+
+
+def test_curvature_condition_peaks_below_twice_its_output(rng):
+    # tracemalloc counts numpy's array buffers, not resident memory: this
+    # bounds the call's own allocations (the output and every temporary) on
+    # the 49-state fiber at d = 12, where the einsum form peaked at 4x
+    a, _, R, gm, J = _curvature_inputs(rng, 12, 49)
+    dl = -0.25 * a
+    peak, out = traced_peak(curvature_condition, a, dl, R, gm, J)
+    assert peak <= 2 * out.nbytes
 
 
 def test_c_identity_for_independent_pullbacks(fs2, rng):

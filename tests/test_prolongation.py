@@ -19,6 +19,7 @@ from kahlerlab.prolongation import (MobilityConfig, Path, ProlongedState,
                                     rectangle_loop, signature, tanno_residual,
                                     transport, transport_states)
 from kahlerlab.tensors import hermitize
+from conftest import traced_peak
 from oracles import oracle_geometry, rhs_einsum
 
 
@@ -288,16 +289,32 @@ def test_basis_grid_and_certificate_start_at_the_base_point(fs2, rng):
 
 
 def test_kernel_basis_ignores_row_order(torus2, monkeypatch):
-    # the torus kernel is degenerate: an SVD basis of it moves at O(1) when
-    # the constraint rows come in another order, the reported basis must not
-    report = degree_of_mobility(torus2, 0.0)
+    # the torus kernels are degenerate and exact: an SVD basis of them moves
+    # at O(1), and every singular value at round-off, when the constraint
+    # rows come in another order; the report must not move at all
+    models = [torus2, product_model([torus2] * 3)]
+    reports = [degree_of_mobility(m, 0.0) for m in models]
     rows = prolongation._constraint_rows
     monkeypatch.setattr(prolongation, "_constraint_rows",
                         lambda *args: rows(*args)[::-1])
-    reversed_rows = degree_of_mobility(torus2, 0.0)
-    assert reversed_rows.constraint_history == report.constraint_history
-    for s, t in zip(report.basis, reversed_rows.basis):
-        assert np.max(np.abs(s.pack() - t.pack())) <= 1e-12
+    for model, report in zip(models, reports):
+        reversed_rows = degree_of_mobility(model, 0.0)
+        for field in ("singular_values", "gap", "dimension", "constraint_history"):
+            assert getattr(reversed_rows, field) == getattr(report, field), field
+        for s, t in zip(report.basis, reversed_rows.basis):
+            assert np.max(np.abs(s.pack() - t.pack())) <= 1e-12
+        # the kernel is exact to round-off: no gap, and zeros past the rank
+        rank = len(report.singular_values) - report.dimension
+        assert report.gap is None
+        assert report.singular_values[rank:] == [0.0] * report.dimension
+        assert min(report.singular_values[:rank]) > 1.0
+
+
+def test_row_norms_keep_numpy_sums_without_a_raw_sized_temporary(rng):
+    raw = rng.normal(size=(25, 4096)).T       # one column per state, as the rows come
+    peak, norms = traced_peak(prolongation._row_norms, raw)
+    assert np.array_equal(norms, np.linalg.norm(raw, axis=1))
+    assert peak <= 4 * raw.shape[0] * raw.itemsize
 
 
 def test_canonical_basis_depends_on_the_subspace_only(rng):
