@@ -21,25 +21,13 @@ from .geometry import cov_step_jet, riemann, riemann_symmetry_residuals
 from .hproj import (PairSolution, c_identity_check, geom, hpr_residual,
                     lambda_least_squares, lambda_scalar_field)
 from .models import fubini_study, model_from_descriptor, pullback_fs
-from .prolongation import (MobilityConfig, TannoSolution, degree_of_mobility,
-                           estimate_B, extended_residual, kernel_certificate,
-                           laplace_identity_residual, mobility_basis_grid,
-                           tanno_residual)
+from .prolongation import (MobilityConfig, TannoSolution, constant_curvature_tensor,
+                           degree_of_mobility, estimate_B, extended_residual,
+                           kernel_certificate, laplace_identity_residual,
+                           mobility_basis_grid, tanno_residual)
 from .spectral import (L_product, PolynomialSolution, build_L,
                        eigenstructure_report, hessian_mu_check, make_projector,
                        minimal_poly, renormalize_to_minus_one)
-
-SCENARIOS = {
-    "verify-kahler": "compatibility residuals of (g, J) at seeded points",
-    "curvature": "curvature symmetries and the constant-holomorphic-curvature identity",
-    "hpr-check": "first-order system residuals for a metric pair, with coupling-constant fit",
-    "mobility": "local solution-space dimension of the prolonged system",
-    "spectral": "packaged-operator algebra: products, minimal polynomial, projector eigenstructure",
-    "tanno": "third-order scalar equation and its equivalence with the prolonged system",
-    "hplanar": "planar-curve integration, line membership, first integrals",
-    "report-merge": "merge previously written JSON reports",
-}
-
 
 def check(name, value, tol, invert=False):
     """One check record; a non-finite value is recorded as null and fails."""
@@ -50,14 +38,16 @@ def check(name, value, tol, invert=False):
             "tolerance": float(tol), "pass": bool(ok)}
 
 
-def _model_from_args(args):
-    """The model of a config file's ``model`` object, else of the model flags:
-    either way one descriptor, built by ``model_from_descriptor``."""
+def _model_from_args(args, killing=False):
+    """The model of a config file's ``model`` object, else the descriptor of
+    the model flags that were given.  With ``killing`` (hplanar), --A-file on
+    an fs model is the matrix of its Killing pair, not a model key."""
     if isinstance(args.model, dict):
         return model_from_descriptor(args.model)
+    A_file = None if killing and args.model == "fs" else args.A_file
     desc = {"kind": args.model, "n": args.n, "chart_index": args.chart_index,
             "diag": args.diag, "periods": args.periods,
-            "A": _read_json(args.A_file) if args.A_file else None}
+            "A": _read_json(A_file) if A_file else None}
     return model_from_descriptor({k: v for k, v in desc.items() if v is not None})
 
 
@@ -69,28 +59,14 @@ def _read_json(path):
             raise ConfigError(f"{path} is not JSON ({exc})") from None
 
 
-def _pullback(args, path):
-    """The pullback model of the matrix file at ``path``, in --chart-index."""
-    return model_from_descriptor({"kind": "pullback", "A": _read_json(path),
-                                  "chart_index": args.chart_index})
-
-
-def _pair_solution(args):
-    """(g, gbar) pair: the projective model and a linear pullback of it.
-    Model input the pair cannot use is refused, not ignored."""
-    if isinstance(args.model, dict):
-        raise ConfigError(f"{args.scenario} pairs fs with a pullback of it; "
-                          "it cannot use a config model object")
-    unused = [flag for flag, given in ((f"--model {args.model}", args.model != "fs"),
-                                       ("--diag", args.diag is not None),
-                                       ("--periods", args.periods is not None)) if given]
-    if unused:
-        raise InvalidInputError(f"{args.scenario} pairs fs with a pullback of it; "
-                                f"it cannot use {', '.join(unused)}")
-    g_model = fubini_study(args.n, args.chart_index)
-    gbar = (_pullback(args, args.A_file) if args.A_file else
-            pullback_fs(np.diag([2.0] + [1.0] * args.n), args.chart_index))
-    return g_model, PairSolution(g_model, gbar)
+def _pair_solution(g_model, path):
+    """The pair of g (an fs model) and gbar, the pullback of the matrix file
+    at ``path`` (None: diag(2, 1, ..., 1)) in g's chart."""
+    chart_index = g_model.params["chart_index"]
+    gbar = (model_from_descriptor({"kind": "pullback", "n": g_model.n, "A": _read_json(path),
+                                   "chart_index": chart_index}) if path else
+            pullback_fs(np.diag([2.0] + [1.0] * g_model.n), chart_index))
+    return PairSolution(g_model, gbar)
 
 
 def _build_a_jets(sol, points, order):
@@ -105,20 +81,18 @@ def _build_a_jets(sol, points, order):
 
 def run_verify_kahler(args, rng):
     model = _model_from_args(args)
-    tol = args.tol if args.tol else 1e-8
     checks = []
     for chart in sorted(model.charts):
-        rep = model.verify(rng, count=args.samples, tol=tol, chart=chart)
+        rep = model.verify(rng, count=args.samples, tol=args.tol, chart=chart)
         for name, val in rep.residuals.items():
-            checks.append(check(f"{chart}.{name}", val, tol))
+            checks.append(check(f"{chart}.{name}", val, args.tol))
     return model, checks, []
 
 
 def run_curvature(args, rng):
+    if args.B is None:
+        raise InvalidInputError("curvature needs a numeric --B, not sweep")
     model = _model_from_args(args)
-    tol = args.tol if args.tol else 1e-7
-    B = args.B if args.B is not None else -0.25
-    from .prolongation import constant_curvature_tensor
     worst = {"antisym_first_pair": 0.0, "antisym_last_pair": 0.0,
              "pair_symmetry": 0.0, "first_bianchi": 0.0, "J_commutation": 0.0}
     worst_g = 0.0
@@ -127,16 +101,16 @@ def run_curvature(args, rng):
         R = riemann(g["gamma"])
         for k, v in riemann_symmetry_residuals(g["g"].const, R, g["J"]).items():
             worst[k] = max(worst[k], v)
-        G = R + 4.0 * B * constant_curvature_tensor(g["g"].const, g["J"])
+        G = R + 4.0 * args.B * constant_curvature_tensor(g["g"].const, g["J"])
         worst_g = max(worst_g, float(np.max(np.abs(G))))
-    checks = [check(k, v, tol) for k, v in worst.items()]
-    checks.append(check("constant_holomorphic_curvature", worst_g, tol))
+    checks = [check(k, v, args.tol) for k, v in worst.items()]
+    checks.append(check("constant_holomorphic_curvature", worst_g, args.tol))
     return model, checks, []
 
 
 def run_hpr_check(args, rng):
-    g_model, sol = _pair_solution(args)
-    tol = args.tol if args.tol else 1e-7
+    g_model = fubini_study(args.n, args.chart_index)
+    sol = _pair_solution(g_model, args.A_file)
     pts = g_model.sample_points(rng, args.samples)
     _build_a_jets(sol, pts, 2)      # the gradient of lambda reads order 2
     worst_hpr = max(float(np.max(np.abs(hpr_residual(g_model, sol, p)))) for p in pts)
@@ -152,9 +126,9 @@ def run_hpr_check(args, rng):
             lambda_least_squares(g_model, sol, p) - sol.lam_at(p)))))
     Bs = [estimate_B(g_model, sol, p)[0] for p in pts[:10]]
     checks = [
-        check("hpr_residual", worst_hpr, tol),
+        check("hpr_residual", worst_hpr, args.tol),
         check("lambda_nonzero", lam_max, 1e-4, invert=True),
-        check("killing_residual_lambda_bar", worst_kill, tol),
+        check("killing_residual_lambda_bar", worst_kill, args.tol),
         check("lambda_trace_vs_least_squares", worst_ls, 1e-5),
         check("B_spread", np.max(Bs) - np.min(Bs), 1e-4),
     ]
@@ -167,7 +141,7 @@ def run_hpr_check(args, rng):
             json.dump(payload, fh, indent=2, sort_keys=True)
         artifacts.append(args.dump_solution)
     if args.A2_file:
-        sol2 = PairSolution(g_model, _pullback(args, args.A2_file))
+        sol2 = _pair_solution(g_model, args.A2_file)
         warn = []
         worst_c = max(c_identity_check(g_model, sol, sol2, p, warn) for p in pts[:10])
         # the identity says nothing where {g, a, A} are dependent: null, so it fails
@@ -177,7 +151,7 @@ def run_hpr_check(args, rng):
 
 def run_mobility(args, rng):
     model = _model_from_args(args)
-    cfg = MobilityConfig(seed=args.seed, step=args.step if args.step else 2e-3)
+    cfg = MobilityConfig(seed=args.seed, step=args.step)
     base = model.point(np.zeros(model.dim))
     report = degree_of_mobility(model, args.B, base, cfg)
     checks = [check("rank_stabilized", 0.0 if report.stabilized else 1.0, 0.5)]
@@ -198,9 +172,9 @@ def run_mobility(args, rng):
 
 
 def run_spectral(args, rng):
-    g_model, sol = _pair_solution(args)
-    tol = args.tol if args.tol else 1e-5
-    pts = g_model.sample_points(rng, max(args.samples, 4))
+    g_model = fubini_study(args.n, args.chart_index)
+    sol = _pair_solution(g_model, args.A_file)
+    pts = g_model.sample_points(rng, args.samples)
     # order 3 for the square solution's residual at the first five points;
     # order 4 at pts[0], where the projector is made, for the Hessian check
     # at the first interior sample (the search starts there)
@@ -211,9 +185,8 @@ def run_spectral(args, rng):
     m1, s1 = renormalize_to_minus_one(g_model, sol.with_B(B))
     p, q = pts[0], pts[1]
     L1 = build_L(m1, s1, p)
-    gm = m1.metric_at(p)
     checks = [
-        check("ghat_selfadjoint", L1.selfadjoint_residual(gm), 1e-10),
+        check("ghat_selfadjoint", L1.selfadjoint_residual(m1.metric_at(p)), 1e-10),
         check("jhat_commute", L1.jcommute_residual(m1.j_matrix()), 1e-10),
     ]
     _, triple, conds = L_product(m1, L1, L1, p)
@@ -225,45 +198,35 @@ def run_spectral(args, rng):
         r1, r2, r3 = extended_residual(m1, sq, x)
         worst = max(worst, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))),
                     float(np.max(np.abs(r3))))
-    checks.append(check("square_solution_residual", worst, tol))
+    checks.append(check("square_solution_residual", worst, args.tol))
     mp1 = minimal_poly(build_L(m1, s1, p))
     mp2 = minimal_poly(build_L(m1, s1, q))
     dist = (float(np.max(np.abs(mp1.coefficients - mp2.coefficients)))
             if mp1.degree == mp2.degree else float("inf"))
     checks.append(check("minimal_poly_agreement", dist, 1e-5))
-    mu_samples = [float(s1.mu_jet(x, 0).const) for x in pts]
-    target = max(mu_samples)
-    P, coeffs = make_projector(L1, target=target)
+    P, coeffs = make_projector(L1, target=max(float(s1.mu_jet(x, 0).const) for x in pts))
     checks.append(check("projector_idempotent",
                         float(np.max(np.abs(P.matrix @ P.matrix - P.matrix))), 1e-8))
     proj = PolynomialSolution(m1, s1, coeffs)
-    interior = None
-    for x in pts:
-        mu = float(proj.mu_jet(x, 0).const)
-        if 0.05 < mu < 0.95:
-            interior = x
-            break
+    interior = next((x for x in pts if 0.05 < float(proj.mu_jet(x, 0).const) < 0.95), None)
     mism = angle = hess = math.nan   # null without an interior sample, so each fails
     if interior is not None:
         rep = eigenstructure_report(m1, proj, interior)
         expected = {1.0: 2 * rep.k, 1.0 - rep.mu: 2, 0.0: 2 * g_model.n - 2 * rep.k - 2}
-        mism = 0.0
-        for val, mult in expected.items():
-            got = sum(m for v, m in rep.eigenvalues if abs(v - val) <= 1e-5)
-            if mult > 0 and got != mult:
-                mism = 1.0
+        got = {val: sum(m for v, m in rep.eigenvalues if abs(v - val) <= 1e-5) for val in expected}
+        mism = float(any(mult > 0 and got[val] != mult for val, mult in expected.items()))
         angle = rep.lambda_angle
         hess = float(np.max(np.abs(hessian_mu_check(m1, proj, interior))))
     checks.append(check("eigenstructure_multiplicities", mism, 0.5))
     checks.append(check("lambda_eigenspace_angle", angle, 1e-4))
-    checks.append(check("hessian_mu", hess, tol))
+    checks.append(check("hessian_mu", hess, args.tol))
     extra = {"B": B, "minimal_poly": mp1.coefficients.tolist()}
     return g_model, checks, [], extra
 
 
 def run_tanno(args, rng):
-    g_model, sol = _pair_solution(args)
-    tol = args.tol if args.tol else 1e-5
+    g_model = fubini_study(args.n, args.chart_index)
+    sol = _pair_solution(g_model, args.A_file)
     pts = g_model.sample_points(rng, args.samples)
     _build_a_jets(sol, pts[:5], 3)  # the round trip reads order 3 there
     kappa = args.B if args.B is not None else float(np.mean(
@@ -280,35 +243,28 @@ def run_tanno(args, rng):
     for p in pts[:5]:
         worst_rt = max(worst_rt, _line_distance(g_model, solB, ext, kappa, p))
     checks = [
-        check("tanno_residual", worst_t, tol),
-        check("laplace_identity", worst_l, tol),
+        check("tanno_residual", worst_t, args.tol),
+        check("laplace_identity", worst_l, args.tol),
         check("round_trip_mod_trivial", worst_rt, 1e-6),
     ]
     return g_model, checks, [], {"kappa": kappa}
 
 
 def _line_distance(model, sol, ext, B, point):
-    """Distance between two solution triples modulo the trivial line
-    (g, 0, -B)."""
-    g = geom(model, point, 0)["g"].const
+    """Distance between two solution triples modulo the trivial line (g, 0, -B)."""
+    ta = geom(model, point, 0)["g"].const
     da = sol.a_jet(point, 0).const - ext.a_jet(point, 0).const
     dl = sol.lam_jet(point, 0).const - ext.lam_jet(point, 0).const
     dm = float(sol.mu_jet(point, 0).const - ext.mu_jet(point, 0).const)
-    ta, tl, tm = g, np.zeros(model.dim), -B
-    tt = float(np.sum(ta * ta) + tm * tm)
-    proj = (float(np.sum(da * ta)) + dm * tm) / tt
-    ra = da - proj * ta
-    rl = dl
-    rm = dm - proj * tm
-    return max(float(np.max(np.abs(ra))), float(np.max(np.abs(rl))), abs(rm))
+    proj = (float(np.sum(da * ta)) - dm * B) / float(np.sum(ta * ta) + B * B)
+    return max(float(np.max(np.abs(da - proj * ta))), float(np.max(np.abs(dl))),
+               abs(dm + proj * B))
 
 
 def run_hplanar(args, rng):
-    model = _model_from_args(args)
+    model = _model_from_args(args, killing=True)
     curvemod.check_line_notion(model)
-    tol = args.tol if args.tol else 1e-6
-    step = args.step if args.step else 1e-3
-    count = min(args.samples, 10)
+    step, count = args.step, args.samples
     x0s = [model.point(rng.uniform(-0.3, 0.3, model.dim)) for _ in range(count)]
     v0s = [rng.uniform(-0.7, 0.7, model.dim) for _ in range(count)]
     als = [float(rng.uniform(-0.3, 0.3)) for _ in range(count)]
@@ -329,8 +285,8 @@ def run_hplanar(args, rng):
     ratio = curvemod.rk4_order_ratio([c.points[-1].coords for c in ladder])
     rep_ok, _, _ = curvemod.reparametrization_invariance_check(model, curves[0])
     checks = [
-        check("line_deviation", max(float(np.max(dev)) for dev in devs), tol),
-        check("hplanarity_defect", max(defects), tol),
+        check("line_deviation", max(float(np.max(dev)) for dev in devs), args.tol),
+        check("hplanarity_defect", max(defects), args.tol),
         check("energy_drift_geodesic", curvemod.energy_drift(model, geo), 1e-8),
         check("rk4_ratio_low", ratio, 12.0, invert=True),
         check("rk4_ratio_high", ratio, 20.0),
@@ -347,7 +303,7 @@ def run_hplanar(args, rng):
             c.export_csv(path, extras={"defect": dfc, "deviation": devs[i]})
             artifacts.append(path)
     if killing:
-        vf = PairSolution(model, _pullback(args, args.A_file)).lambda_bar_vector_at
+        vf = _pair_solution(model, args.A_file).lambda_bar_vector_at
         drifts = [curvemod.killing_integral_drift(model, g, vf, stride=25)
                   for g in batch[end:]]
         checks.append(check("killing_integral_drift", max(drifts), 1e-7))
@@ -365,18 +321,6 @@ def run_report_merge(args, rng):
     return None, checks, artifacts
 
 
-RUNNERS = {
-    "verify-kahler": run_verify_kahler,
-    "curvature": run_curvature,
-    "hpr-check": run_hpr_check,
-    "mobility": run_mobility,
-    "spectral": run_spectral,
-    "tanno": run_tanno,
-    "hplanar": run_hplanar,
-    "report-merge": run_report_merge,
-}
-
-
 def _float_or_sweep(text):
     if text == "sweep":
         return None
@@ -386,48 +330,77 @@ def _float_or_sweep(text):
         raise argparse.ArgumentTypeError(f"expected a float or 'sweep', got {text!r}")
 
 
+# argparse keywords of each flag, by its dest (the flag is --dest, "_" -> "-")
+FLAGS = {
+    "seed": {"type": int}, "out": {"help": "report path (JSON)"},
+    "config": {"help": "JSON config file"},
+    "tol": {"type": float}, "samples": {"type": int}, "step": {"type": float},
+    "model": {"choices": ["flat", "fs", "pullback", "torus", "product"]},
+    "n": {"type": int}, "chart_index": {"type": int},
+    "diag": {"type": float, "nargs": "+"}, "periods": {"type": float},
+    "A_file": {"help": "complex matrix as JSON rows of [re, im] pairs"}, "A2_file": {},
+    "B": {"type": _float_or_sweep, "help": "coupling constant, or 'sweep'"},
+    "expect_dim": {"type": int}, "verify_basis": {"type": int}, "csv_dir": {},
+    "dump_solution": {"help": "write the solution grid (JSON) to this path"},
+}
+# The flags that build a model from a descriptor, and those of the pair
+# scenarios, which pair fs with a pullback of it.
+_MODEL = {"model": "fs", "n": None, "chart_index": None, "diag": None, "periods": None,
+          "A_file": None}
+_PAIR = {"n": 2, "chart_index": 0, "A_file": None}
+# Each scenario's runner, its help, and the flags the runner reads with their
+# defaults; samples is (default, least, most).  Every scenario but
+# report-merge also reads --seed, --out and --config; report-merge reads
+# --out and its inputs.
+SCENARIOS = {
+    "verify-kahler": (run_verify_kahler, "compatibility residuals of (g, J) at seeded points",
+                      {"tol": 1e-8, "samples": (20, 1, math.inf), **_MODEL}),
+    "curvature": (run_curvature,
+                  "curvature symmetries and the constant-holomorphic-curvature identity",
+                  {"tol": 1e-7, "samples": (20, 1, math.inf), "B": -0.25, **_MODEL}),
+    "hpr-check": (run_hpr_check,
+                  "first-order system residuals for a metric pair, with coupling-constant fit",
+                  {"tol": 1e-7, "samples": (20, 1, math.inf), **_PAIR, "A2_file": None,
+                   "dump_solution": None}),
+    "mobility": (run_mobility, "local solution-space dimension of the prolonged system",
+                 {"B": None, "step": 2e-3, "expect_dim": None, "verify_basis": 3, **_MODEL}),
+    "spectral": (run_spectral, "packaged-operator algebra: products, minimal polynomial, "
+                 "projector eigenstructure",
+                 {"tol": 1e-5, "samples": (20, 4, math.inf), "B": None, **_PAIR}),
+    "tanno": (run_tanno,
+              "third-order scalar equation and its equivalence with the prolonged system",
+              {"tol": 1e-5, "samples": (20, 1, math.inf), "B": None, **_PAIR}),
+    "hplanar": (run_hplanar, "planar-curve integration, line membership, first integrals",
+                {"tol": 1e-6, "samples": (10, 1, 10), "step": 1e-3, "csv_dir": None, **_MODEL}),
+    "report-merge": (run_report_merge, "merge previously written JSON reports", {}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser error is a usage error: one line on stderr and exit 2."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def build_parser(defaults=None):
-    """The CLI parser; ``defaults`` (a config file's values) replace the
-    scenario flags' own defaults."""
-    parser = argparse.ArgumentParser(
-        prog="kahlerlab",
-        description="scenario runner for the Kähler-geometry verification suites")
+    """The CLI parser: each scenario gets exactly the flags of its
+    ``SCENARIOS`` entry; ``defaults`` (a config file's values) replace their
+    own defaults."""
+    parser = _Parser(prog="kahlerlab",
+                     description="scenario runner for the Kähler-geometry verification suites")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="scenario")
-
-    listp = sub.add_parser("list", help="list scenarios")
-    listp.add_argument("--json", action="store_true")
-
-    for name, desc in SCENARIOS.items():
+    sub.add_parser("list", help="list scenarios").add_argument("--json", action="store_true")
+    for name, (_, desc, flags) in SCENARIOS.items():
         p = sub.add_parser(name, help=desc)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--out", default=None, help="report path (JSON)")
-        p.add_argument("--config", default=None, help="JSON config file")
+        common = {"out": None} if name == "report-merge" else {"seed": 0, "out": None,
+                                                                "config": None}
+        for dest, default in {**common, **flags}.items():
+            p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest],
+                           default=default[0] if dest == "samples" else default)
         if name == "report-merge":
             p.add_argument("inputs", nargs="+")
-            continue
-        p.add_argument("--model", default="fs",
-                       choices=["flat", "fs", "pullback", "torus", "product"])
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--chart-index", dest="chart_index", type=int, default=0)
-        p.add_argument("--diag", type=float, nargs="+", default=None)
-        p.add_argument("--periods", type=float, default=None)
-        p.add_argument("--A-file", dest="A_file", default=None,
-                       help="complex matrix as JSON rows of [re, im] pairs")
-        p.add_argument("--A2-file", dest="A2_file", default=None)
-        p.add_argument("--B", type=_float_or_sweep, default=None,
-                       help="coupling constant, or 'sweep'")
-        if name == "mobility":
-            p.add_argument("--expect-dim", dest="expect_dim", type=int, default=None)
-            p.add_argument("--verify-basis", dest="verify_basis", type=int, default=3)
-        if name == "hplanar":
-            p.add_argument("--csv-dir", dest="csv_dir", default=None)
-        if name == "hpr-check":
-            p.add_argument("--dump-solution", dest="dump_solution", default=None,
-                           help="write the solution grid (JSON) to this path")
         p.set_defaults(**(defaults or {}))
     return parser
 
@@ -439,50 +412,64 @@ def _flag_parser():
     return build_parser()
 
 
-def _check_sizes(samples, step):
-    """Refuse a sample count below 1 or a step <= 0.  Config values are checked
-    as written, before argparse converts string defaults."""
-    if not isinstance(samples, int) or samples < 1:
-        raise ConfigError(f"samples must be an integer >= 1, got {samples!r}")
-    if step is not None and not (isinstance(step, (int, float)) and step > 0):
-        raise ConfigError(f"step must be a positive number, got {step!r}")
+def _parse(parser, argv):
+    """The parsed argv; a flag the scenario does not read is a usage error."""
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        raise InvalidInputError(f"{args.scenario or 'kahlerlab'} does not read "
+                                f"{' '.join(unread)}")
+    return args
+
+
+def _check_bounds(scenario, values):
+    """Refuse a tol or step that is not a positive number, and a samples or
+    verify_basis count out of its range.  Config values are checked as
+    written, before argparse converts string defaults."""
+    for key, value in values.items():
+        if key in ("tol", "step") and not (isinstance(value, (int, float))
+                                           and 0 < value < math.inf):
+            raise ConfigError(f"{key} must be a positive number, got {value!r}")
+        if key in ("samples", "verify_basis"):
+            lo, hi = SCENARIOS[scenario][2]["samples"][1:] if key == "samples" else (1, math.inf)
+            if not (isinstance(value, int) and lo <= value <= hi):
+                span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+                raise ConfigError(f"{key} must be an integer {span}, got {value!r}")
 
 
 def _apply_config(args, argv):
     """Config-file values become the scenario flags' defaults and argv is
     parsed again, so a flag in any form argparse accepts beats the file.  A
-    ``model`` object is a descriptor; it replaces the model flags."""
+    key that is not one of the scenario's flags is refused; a ``model``
+    object is a descriptor, which replaces the model flags."""
     cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: expected a JSON object")
     cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
-    own = set(vars(args)) - {"scenario", "config"}
-    defaults = {key: value for key, value in cfg.items()
-                if key in own and not (key == "model" and isinstance(value, dict))}
-    _check_sizes(defaults.get("samples", 1), defaults.get("step"))
-    args = build_parser(defaults).parse_args(argv)
-    if isinstance(cfg.get("model"), dict):
-        args.model = cfg["model"]
+    unread = sorted(set(cfg) - (set(vars(args)) - {"scenario", "config"}))
+    if unread:
+        raise ConfigError(f"{args.scenario} does not read the config key(s) "
+                          f"{', '.join(map(repr, unread))}")
+    _check_bounds(args.scenario, cfg)
+    model = cfg.pop("model") if isinstance(cfg.get("model"), dict) else None
+    args = _parse(build_parser(cfg), argv)
+    if model is not None:
+        args.model = model
     return args
 
 
 def main(argv=None):
-    args = _flag_parser().parse_args(argv)
-    if args.scenario is None or args.scenario == "list":
-        names = sorted(SCENARIOS)
-        if getattr(args, "json", False):
-            print(json.dumps(names))
-        else:
-            for name in names:
-                print(f"{name}: {SCENARIOS[name]}")
-        return 0
-    runner = RUNNERS[args.scenario]
     try:
-        if getattr(args, "config", None) and args.scenario != "report-merge":
+        args = _parse(_flag_parser(), argv)
+        if args.scenario in (None, "list"):
+            names = sorted(SCENARIOS)
+            print(json.dumps(names) if getattr(args, "json", False) else
+                  "\n".join(f"{name}: {SCENARIOS[name][1]}" for name in names))
+            return 0
+        if getattr(args, "config", None):
             args = _apply_config(args, argv)
-        _check_sizes(args.samples, args.step)
-        rng = np.random.default_rng(args.seed)
-        out = runner(args, rng)
+        _check_bounds(args.scenario, vars(args))
+        seed = getattr(args, "seed", None)
+        out = SCENARIOS[args.scenario][0](args, np.random.default_rng(seed))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -498,7 +485,7 @@ def main(argv=None):
         "version": __version__,
         "scenario": args.scenario,
         "model": model.descriptor() if model is not None else None,
-        "seed": args.seed,
+        "seed": seed,
         "tolerances": {c["name"]: c["tolerance"] for c in checks},
         "checks": checks,
         "artifacts": artifacts,

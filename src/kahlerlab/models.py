@@ -400,13 +400,25 @@ def _field(desc, key, convert, *default):
         raise ConfigError(f"model key {key!r} is malformed: {exc}") from None
 
 
+# the keys each kind reads besides kind, n and scale
+_KIND_KEYS = {"fs": {"chart_index"}, "pullback": {"chart_index", "A"}, "flat": {"diag"},
+              "torus": {"periods"}, "product": {"factors", "weights"}}
+
+
 def model_from_descriptor(desc):
     """Build the model a descriptor describes: the output of ``descriptor()``,
     a config-file model or the CLI's model flags.  A pullback takes n from
-    its matrix; ``scale`` rescales any kind."""
+    its matrix and a product from its factors; ``scale`` rescales any kind.
+    A key the kind does not read, or an ``n`` that disagrees with the model
+    built, is refused."""
     if not isinstance(desc, dict):
         raise ConfigError(f"a model descriptor is a JSON object, got {desc!r}")
     kind = desc.get("kind")
+    if kind not in _KIND_KEYS:
+        raise UnsupportedModelError(f"unknown model kind {kind!r}")
+    unread = sorted(set(desc) - _KIND_KEYS[kind] - {"kind", "n", "scale"})
+    if unread:
+        raise ConfigError(f"model {kind!r} does not read {', '.join(map(repr, unread))}")
     n = _field(desc, "n", operator.index, 2)
     if kind in ("fs", "pullback"):
         A = _field(desc, "A", complex_matrix_from_pairs) if kind == "pullback" else None
@@ -416,11 +428,11 @@ def model_from_descriptor(desc):
         model = flat_model(n, _field(desc, "diag", _floats, None))
     elif kind == "torus":
         model = flat_torus(n, _field(desc, "periods", lambda v: np.asarray(v, dtype=float), 1.0))
-    elif kind == "product":
+    else:
         model = product_model([model_from_descriptor(f) for f in _field(desc, "factors", list)],
                               _field(desc, "weights", _floats, None))
-    else:
-        raise UnsupportedModelError(f"unknown model kind {kind!r}")
+    if "n" in desc and n != model.n:
+        raise ConfigError(f"model {kind!r} has n = {model.n}, not the n = {n} given")
     scale = _field(desc, "scale", float, None)
     return model if scale is None else rescale_model(model, scale)
 

@@ -658,7 +658,8 @@ def kernel_certificate(model, B, base_point, states, points, step=2e-3):
     and, on a periodic model, closure around one lattice loop from there
     (direction k mod d at the k-th point).  Nothing is completed from the
     system under test, so a wrong kernel fails: the full fiber of FS n = 2
-    or of a flat 2-torus at B = 0 scores above 1."""
+    or of a flat 2-torus at B = 0 scores above 1, and a non-finite residual
+    makes the result non-finite."""
     if not states:
         return 0.0
     states = _stack(states)
@@ -672,7 +673,7 @@ def kernel_certificate(model, B, base_point, states, points, step=2e-3):
             batches.append(("loop", lattice_loops(model, pt)[k % model.dim]))
         for batch in batches:
             rows = _constraint_rows(model, B, batch, pt, moved, step)
-            worst = max(worst, float(np.maximum(rows.max(), -rows.min())))
+            worst = float(np.max([worst, rows.max(), -rows.min()]))   # NaN stays NaN
     return worst
 
 

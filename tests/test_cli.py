@@ -1,7 +1,12 @@
+import argparse
+import importlib.util
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from kahlerlab import cli
 from kahlerlab.cli import main
 
 A_DIAG = [[[2, 0], [0, 0], [0, 0]],
@@ -446,3 +451,168 @@ def test_pair_reports_do_not_depend_on_the_geometry_memo(tmp_path, pair_ops, cap
         runs.append(reports)
     assert runs[0] == runs[1] == runs[2]
     capsys.readouterr()
+
+
+# -- the flag table ----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+# the 14 flags of the parser that every model scenario once shared
+OLD_UNION = ["seed", "tol", "samples", "step", "out", "config", "model", "n", "chart_index",
+             "diag", "periods", "A_file", "A2_file", "B"]
+
+
+def _subparsers():
+    """The parser of each subcommand, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _declared(name):
+    return {a.dest for a in _subparsers()[name]._actions if a.dest != "help"}
+
+
+def test_subparsers_hold_at_most_80_settable_values():
+    assert sum(len(_declared(name)) for name in _subparsers()) <= 80
+
+
+@pytest.fixture
+def scenario_argvs(tmp_path, a_file):
+    a2 = tmp_path / "A2.json"
+    a2.write_text(json.dumps([[[d if i == j else 0, 0] for j in range(3)]
+                              for i, d in enumerate([1, 3, 1])]))
+    merged = tmp_path / "in.json"
+    merged.write_text(json.dumps({"scenario": "x", "checks": [], "artifacts": []}))
+    return {
+        "verify-kahler": ["--model", "flat", "--samples", "1"],
+        "curvature": ["--model", "flat", "--B", "0", "--samples", "1"],
+        "hpr-check": ["--samples", "2", "--A-file", a_file, "--A2-file", str(a2),
+                      "--dump-solution", str(tmp_path / "sol.json")],
+        "mobility": ["--model", "torus", "--B", "0"],
+        "spectral": ["--samples", "4"],
+        "tanno": ["--samples", "2"],
+        "hplanar": ["--model", "fs", "--A-file", a_file, "--samples", "1",
+                    "--csv-dir", str(tmp_path / "csv")],
+        "report-merge": [str(merged)],
+    }
+
+
+def test_each_scenario_reads_every_flag_it_declares(tmp_path, scenario_argvs, monkeypatch,
+                                                    capsys):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse = cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda parser, argv: Recording(**vars(parse(parser, argv))))
+    assert set(scenario_argvs) == set(cli.SCENARIOS)
+    for scenario, argv in scenario_argvs.items():
+        reads.clear()
+        out = tmp_path / f"{scenario}.json"
+        assert _run([scenario] + argv + ["--out", str(out)]) in (0, 1), scenario
+        assert _declared(scenario) - {"scenario"} <= reads, (scenario, _declared(scenario) - reads)
+    # hplanar on fs reads --A-file as its Killing pair
+    checks = json.loads((tmp_path / "hplanar.json").read_text())["checks"]
+    assert "killing_integral_drift" in {c["name"] for c in checks}
+    assert json.loads((tmp_path / "report-merge.json").read_text())["seed"] is None
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_undeclared_flags_exit_2(tmp_path, capsys, scenario):
+    out = tmp_path / "rep.json"
+    head = [scenario] + (["in.json"] if scenario == "report-merge" else [])
+    for dest in sorted(set(OLD_UNION) - _declared(scenario)):
+        flag = "--" + dest.replace("_", "-")
+        assert _run(head + [flag, "1", "--out", str(out)]) == 2, (scenario, flag)
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
+        assert flag in err
+
+
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,config,prefix", [
+    (["mobility", "--tol", "1e-300", "--samples", "999"], None, "usage"),
+    (["verify-kahler", "--step", "7", "--B", "3", "--A2-file", "/nonexistent"], None, "usage"),
+    (["report-merge", "v.json", "--config", "/nonexistent.json"], None, "usage"),
+    (["curvature", "--tol", "0"], None, "configuration"),
+    (["curvature", "--B", "sweep"], None, "usage"),
+    (["verify-kahler", "--model", "flat", "--periods", "3", "--chart-index", "1",
+      "--A-file", "A.json"], None, "configuration"),
+    (["verify-kahler"], {"model": {"kind": "torus", "n": 2, "period": 0.5}}, "configuration"),
+    (["verify-kahler", "--model", "pullback", "--n", "4", "--A-file", "A.json"], None,
+     "configuration"),
+    (["hpr-check", "--n", "3", "--A-file", "A.json"], None, "configuration"),
+    (["mobility", "--model", "fs", "--A-file", "A.json", "--B", "-0.25"], None, "configuration"),
+    (["mobility", "--model", "fs", "--n", "2", "--B", "-0.25", "--verify-basis", "0"], None,
+     "configuration"),
+    (["mobility", "--model", "fs", "--n", "2", "--B", "-0.25", "--verify-basis", "-1"], None,
+     "configuration"),
+    (["hpr-check", "--tol=-1e-7"], None, "configuration"),
+    (["tanno", "--tol", "nan"], None, "configuration"),
+    (["verify-kahler"], {"tol": 0}, "configuration"),
+    (["hplanar", "--model", "flat", "--samples", "11"], None, "configuration"),
+    (["hplanar", "--model", "flat"], {"samples": 20}, "configuration"),
+    (["spectral", "--samples", "3"], None, "configuration"),
+    (["mobility", "--model", "torus", "--B", "0"], {"samples": 5}, "configuration"),
+    (["tanno"], {"model": "fs"}, "configuration"),
+    (["verify-kahler"], {"model": {"kind": "product", "n": 5,
+                                   "factors": [{"kind": "flat"}, {"kind": "flat"}]}},
+     "configuration"),
+])
+def test_ignored_or_out_of_range_input_exit_2(tmp_path, capsys, a_file, argv, config, prefix):
+    argv = [a_file if a == "A.json" else a for a in argv]
+    if config is not None:
+        argv += ["--config", _write(tmp_path, "cfg.json", config)]
+    out = tmp_path / "rep.json"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix} error:") and err.count("\n") == 1, err
+
+
+def test_a_config_key_is_named_when_refused(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"seed": 1, "smaples": 3})
+    assert _run(["verify-kahler", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert "'smaples'" in capsys.readouterr().err
+
+
+def test_a_given_tol_is_used_as_given(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert _run(["curvature", "--model", "flat", "--B", "0", "--samples", "1",
+                 "--tol", "1e-3", "--out", str(out)]) == 0
+    assert {c["tolerance"] for c in json.loads(out.read_text())["checks"]} == {1e-3}
+    capsys.readouterr()
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.strip().splitlines()]
+
+
+def test_benchmark_and_readme_command_lines_parse():
+    wl = _perfbench_workloads()
+    argvs = [argv for name in list(wl.WORKLOADS) + ["probe"] for argv, _ in wl.ops(name, 7)]
+    for argv in argvs + _readme_cli_lines():
+        args = cli._parse(cli.build_parser(), argv)
+        config = getattr(args, "config", None)
+        if config is not None:      # the input file's keys are the scenario's flags too
+            assert set(wl.INPUT_FILES[config]) <= set(vars(args)) - {"scenario", "config"}
+    assert len(_readme_cli_lines()) >= 10

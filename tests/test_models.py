@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlerlab.errors import (InvalidInputError, UnsupportedDimensionError,
+from kahlerlab.errors import (ConfigError, InvalidInputError, UnsupportedDimensionError,
                               UnsupportedModelError)
 from kahlerlab.geometry import christoffels, riemann
 from kahlerlab.hproj import geom
@@ -206,6 +206,22 @@ def test_model_descriptor_round_trip():
     assert pb.default_chart == "c1"
     fs = model_from_descriptor(rescale_model(fubini_study(2), 2).descriptor())
     assert np.allclose(fs.metric_at(fs.point(np.zeros(4))), 8.0 * np.eye(4), atol=1e-14)
+
+
+_A3 = [[[2, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "torus", "n": 2, "period": 0.5},                   # a typo of periods
+    {"kind": "flat", "n": 2, "periods": 3.0, "chart_index": 1},
+    {"kind": "fs", "n": 2, "A": _A3},
+    {"kind": "pullback", "n": 3, "A": _A3},                     # A is 3x3: n = 2
+    {"kind": "product", "n": 5, "factors": [{"kind": "flat"}, {"kind": "flat"}]},
+    {"kind": "product", "factors": [{"kind": "flat", "weights": [1.0]}, {"kind": "flat"}]},
+])
+def test_descriptor_refuses_keys_its_kind_does_not_read(desc):
+    with pytest.raises(ConfigError):
+        model_from_descriptor(desc)
 
 
 @st.composite

@@ -618,3 +618,14 @@ def test_transport_domain_checked_at_every_stage(fs2):
     st = fiber_basis(fs2)[0]
     with pytest.raises(OutOfDomainError):
         transport(fs2, -0.25, bump, st, step=0.05)
+
+
+def test_certificate_of_a_non_finite_state_is_non_finite(fs2, rng):
+    # max(worst, nan) keeps worst: the certificate must not pass a NaN state
+    base = fs2.point(np.zeros(4))
+    fresh = [rng.uniform(-0.2, 0.2, 4) for _ in range(3)]
+    basis = fiber_basis(fs2)                   # the whole kernel at B = -1/4
+    bad = ProlongedState(basis[0].a * np.nan, basis[0].lam, basis[0].mu)
+    assert kernel_certificate(fs2, -0.25, base, basis[:2], fresh) <= 1e-8
+    assert np.isnan(kernel_certificate(fs2, -0.25, base, [bad], fresh))
+    assert np.isnan(kernel_certificate(fs2, -0.25, base, [basis[1], bad], fresh))
