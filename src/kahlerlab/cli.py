@@ -199,7 +199,7 @@ def run_spectral(args, rng):
         worst = max(worst, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))),
                     float(np.max(np.abs(r3))))
     checks.append(check("square_solution_residual", worst, args.tol))
-    mp1 = minimal_poly(build_L(m1, s1, p))
+    mp1 = minimal_poly(L1)
     mp2 = minimal_poly(build_L(m1, s1, q))
     dist = (float(np.max(np.abs(mp1.coefficients - mp2.coefficients)))
             if mp1.degree == mp2.degree else float("inf"))
@@ -311,11 +311,21 @@ def run_hplanar(args, rng):
 
 
 def run_report_merge(args, rng):
+    """The checks of every input report, each named after its scenario.  An
+    input that is not a report object with a non-empty ``checks`` list of
+    complete check records is a config error."""
     checks, artifacts = [], []
     for path in args.inputs:
-        with open(path) as fh:
-            rep = json.load(fh)
-        for c in rep.get("checks", []):
+        rep = _read_json(path)
+        if not isinstance(rep, dict):
+            raise ConfigError(f"{path}: a report is a JSON object")
+        if not (isinstance(rep.get("checks"), list) and rep["checks"]):
+            raise ConfigError(f"{path}: a report needs a non-empty 'checks' list")
+        for c in rep["checks"]:
+            missing = [k for k in ("name", "max_residual", "tolerance", "pass")
+                       if not isinstance(c, dict) or k not in c]
+            if missing:
+                raise ConfigError(f"{path}: a check record lacks {', '.join(map(repr, missing))}")
             checks.append({**c, "name": f"{rep.get('scenario', 'unknown')}.{c['name']}"})
         artifacts.extend(rep.get("artifacts", []))
     return None, checks, artifacts
@@ -348,6 +358,7 @@ FLAGS = {
 _MODEL = {"model": "fs", "n": None, "chart_index": None, "diag": None, "periods": None,
           "A_file": None}
 _PAIR = {"n": 2, "chart_index": 0, "A_file": None}
+_UNSET = object()
 # Each scenario's runner, its help, and the flags the runner reads with their
 # defaults; samples is (default, least, most).  Every scenario but
 # report-merge also reads --seed, --out and --config; report-merge reads
@@ -440,7 +451,9 @@ def _apply_config(args, argv):
     """Config-file values become the scenario flags' defaults and argv is
     parsed again, so a flag in any form argparse accepts beats the file.  A
     key that is not one of the scenario's flags is refused; a ``model``
-    object is a descriptor, which replaces the model flags."""
+    object is a descriptor, which replaces the model flags, so a model flag
+    given with it is refused too (except hplanar's --A-file on an fs model,
+    the matrix of its Killing pair)."""
     cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: expected a JSON object")
@@ -451,9 +464,21 @@ def _apply_config(args, argv):
                           f"{', '.join(map(repr, unread))}")
     _check_bounds(args.scenario, cfg)
     model = cfg.pop("model") if isinstance(cfg.get("model"), dict) else None
-    args = _parse(build_parser(cfg), argv)
-    if model is not None:
-        args.model = model
+    if model is None:
+        return _parse(build_parser(cfg), argv)
+    # an unset model flag keeps a marker default, so that one given as a flag
+    # or as a config key shows
+    args = _parse(build_parser({**dict.fromkeys(_MODEL, _UNSET), **cfg}), argv)
+    killing = args.scenario == "hplanar" and model.get("kind") == "fs"
+    given = [k for k in _MODEL
+             if getattr(args, k) is not _UNSET and not (killing and k == "A_file")]
+    if given:
+        raise ConfigError(f"the config 'model' object replaces "
+                          f"{', '.join('--' + k.replace('_', '-') for k in given)}")
+    for k in _MODEL:
+        if getattr(args, k) is _UNSET:
+            setattr(args, k, None)
+    args.model = model
     return args
 
 

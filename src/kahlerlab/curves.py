@@ -67,19 +67,6 @@ def as_coefficient(c):
     return lambda t: val
 
 
-def poly_coefficient(*coeffs):
-    """Polynomial coefficient function of t, constant term first."""
-    cs = [float(c) for c in coeffs]
-
-    def f(t):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * t + c
-        return acc
-
-    return f
-
-
 def integrate_hplanar(model, x0: ChartPoint, v0, alpha=0.0, beta=0.0, t_end=1.0, step=1e-3):
     """RK4 integration of the planar-curve ODE from (x0, v0): a batch of one
     (see ``integrate_hplanar_batch``)."""

@@ -45,10 +45,6 @@ class ProportionalSolutionError(KahlerLabError):
     """Raised when a solution proportional to the metric makes a fit ill-posed."""
 
 
-class DegenerateMetricError(SingularMetricError):
-    """Raised when an eigenvalue of the metric sits within threshold of zero."""
-
-
 class NoProjectorError(KahlerLabError):
     """Raised when an operator has a single eigenvalue cluster and therefore
     admits no nontrivial spectral projector."""

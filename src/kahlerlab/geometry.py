@@ -118,18 +118,6 @@ def cov_derivatives(Tjet: Jet, variance, gamma_jet: Jet, k):
     return out
 
 
-def covariant_derivative(T_fn, g_fn, x, order, variance):
-    """Exact components of nabla^order T at x (derivative indices appended last).
-
-    ``T_fn`` and ``g_fn`` map a scalar list to nested component lists; both
-    must be smooth to the requested order.
-    """
-    if not 1 <= order <= 3:
-        raise InsufficientJetError("covariant_derivative supports orders 1..3")
-    gamma = christoffel_jet(jet_eval(g_fn, x, order))
-    return cov_derivatives(jet_eval(T_fn, x, order), variance, gamma, order)[-1].const
-
-
 # -- Kähler-structure verification ----------------------------------------
 
 @dataclass
@@ -141,10 +129,6 @@ class KahlerReport:
     @property
     def passed(self):
         return all(v <= self.tol for v in self.residuals.values())
-
-    def to_dict(self):
-        return {"pass": bool(self.passed), "tol": self.tol, "points": self.points,
-                "residuals": {k: float(v) for k, v in self.residuals.items()}}
 
 
 def verify_kahler(g_fn, j_fn, points, tol=1e-9):

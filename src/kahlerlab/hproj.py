@@ -24,7 +24,7 @@ Everything here is pointwise-parallel.
 import numpy as np
 
 from .errors import InvalidInputError, ShapeMismatchError, SingularMetricError
-from .geometry import christoffel_jet, cov_step_jet, riemann
+from .geometry import christoffel_jet, cov_step_jet
 from .jets import Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_inverse
 from .tensors import hermitize
 
@@ -122,19 +122,8 @@ class SolutionField:
         return (tr_dlam.truncate(order) - tr_a * self.B) * (1.0 / self.model.dim)
 
     # - values -
-    def a_at(self, point):
-        return self.a_jet(point, 0).const
-
     def lam_at(self, point):
         return self.lam_jet(point, 0).const
-
-    def mu_at(self, point):
-        return float(self.mu_jet(point, 0).const)
-
-    def lambda_vector_at(self, point):
-        """lambda^i = g^ia lambda_a as a float vector."""
-        g = geom(self.model, point, 0)
-        return g["ginv"].const @ self.lam_at(point)
 
     def lambda_bar_vector_at(self, point):
         """lbar^i = g^ia J^b_a lambda_b (the Killing direction)."""
@@ -146,19 +135,6 @@ class SolutionField:
         dup = copy.copy(self)
         dup.B = float(B)
         return dup
-
-    # - linear structure -
-    def __add__(self, other):
-        return CombinationSolution([(1.0, self), (1.0, other)])
-
-    def __rmul__(self, c):
-        return CombinationSolution([(float(c), self)])
-
-    def __mul__(self, c):
-        return self.__rmul__(c)
-
-    def __sub__(self, other):
-        return CombinationSolution([(1.0, self), (-1.0, other)])
 
 
 class PairSolution(SolutionField):
@@ -183,116 +159,6 @@ class PairSolution(SolutionField):
             pair_a_jet(self.model, self.gbar_model, point, p))).truncate(order)
 
 
-class TrivialSolution(SolutionField):
-    """The metric itself, scaled: (c*g, 0, -c*B)."""
-
-    def __init__(self, model, c=1.0, B=None):
-        super().__init__(model, B)
-        self.c = float(c)
-
-    def a_jet(self, point, order):
-        return geom(self.model, point, order)["g"].truncate(order) * self.c
-
-    def lam_jet(self, point, order):
-        return _zero_vec_jet(self.model, point, order)
-
-    def mu_jet(self, point, order):
-        if self.B is None:
-            raise InvalidInputError("mu requires B")
-        return _const_scalar_jet(self.model, point, order, -self.c * self.B)
-
-
-class ExplicitSolution(SolutionField):
-    """Solution with caller-supplied jet builders (used for transported
-    states and algebraically constructed triples)."""
-
-    def __init__(self, model, a_builder, lam_builder=None, mu_builder=None, B=None):
-        super().__init__(model, B)
-        self._a = a_builder
-        self._lam = lam_builder
-        self._mu = mu_builder
-
-    def a_jet(self, point, order):
-        return self._a(point, order)
-
-    def lam_jet(self, point, order):
-        if self._lam is None:
-            return super().lam_jet(point, order)
-        return self._lam(point, order)
-
-    def mu_jet(self, point, order):
-        if self._mu is None:
-            return super().mu_jet(point, order)
-        return self._mu(point, order)
-
-
-class CombinationSolution(SolutionField):
-    """Exact linear combination of solution fields over one model."""
-
-    def __init__(self, terms):
-        flat = []
-        for c, s in terms:
-            if isinstance(s, CombinationSolution):
-                flat.extend((c * ci, si) for ci, si in s.terms)
-            else:
-                flat.append((c, s))
-        self.terms = flat
-        model = flat[0][1].model
-        Bs = {s.B for _, s in flat if s.B is not None}
-        super().__init__(model, Bs.pop() if len(Bs) == 1 else None)
-
-    def _combine(self, name, point, order):
-        acc = None
-        for c, s in self.terms:
-            j = getattr(s, name)(point, order) * c
-            acc = j if acc is None else acc + j
-        return acc
-
-    def a_jet(self, point, order):
-        return self._combine("a_jet", point, order)
-
-    def lam_jet(self, point, order):
-        return self._combine("lam_jet", point, order)
-
-    def mu_jet(self, point, order):
-        return self._combine("mu_jet", point, order)
-
-
-class PsiSolution(SolutionField):
-    """Solution induced by an infinitesimal transformation u:
-
-        a_u = L_u g - trace(g^-1 L_u g)/(2(n+1)) * g
-    """
-
-    def __init__(self, model, u_fn, B=None):
-        super().__init__(model, B)
-        self.u_fn = u_fn
-
-    def a_jet(self, point, order):
-        g = geom(self.model, point, order + 1)
-        u = jet_eval(self.u_fn, list(point.coords), order + 1)
-        ulow = jet_einsum("ia,a->i", g["g"], u)
-        du = cov_step_jet(ulow, ("l",), g["gamma"])  # u_i,j at order
-        lie = Jet(du.space, du.coef + np.swapaxes(du.coef, -1, -2))
-        tr = jet_einsum("ij,ij->", g["ginv"].truncate(du.space.order), lie)
-        coeff = 1.0 / (2.0 * (self.model.n + 1))
-        return lie - jet_einsum(",ij->ij", tr * coeff, g["g"].truncate(du.space.order))
-
-
-def _zero_vec_jet(model, point, order):
-    from .jets import jet_space
-    sp = jet_space(model.dim, order)
-    return Jet(sp, np.zeros((sp.ncoef, model.dim)))
-
-
-def _const_scalar_jet(model, point, order, value):
-    from .jets import jet_space
-    sp = jet_space(model.dim, order)
-    coef = np.zeros((sp.ncoef,))
-    coef[0] = value
-    return Jet(sp, coef)
-
-
 # -- pointwise constructions ------------------------------------------------
 
 def pair_a_jet(g_model, gbar_model, point, order):
@@ -310,40 +176,6 @@ def pair_a_jet(g_model, gbar_model, point, order):
     gbar_inv = jet_matrix_inverse(gbar)
     core = jet_einsum("ia,aj->ij", jet_einsum("ia,ab->ib", gjet, gbar_inv), gjet)
     return jet_einsum(",ij->ij", factor, core)
-
-
-def a_from_pair(g_model, gbar_model, point):
-    """Comparison tensor of the metric pair at a point (float matrix)."""
-    return pair_a_jet(g_model, gbar_model, point, 0).const
-
-
-def gbar_from_a(g_model, a, point):
-    """Invert the comparison-tensor construction:
-
-        gbar^-1 = (det a / det g)^(1/2) g^-1 a g^-1   (matrix form)
-
-    Returns the (0,2) metric matrix. Degenerate `a` is rejected.
-    """
-    a = np.asarray(a, dtype=float)
-    g = geom(g_model, point, 0)["g"].const
-    det_ratio = float(np.linalg.det(a)) / float(np.linalg.det(g))
-    if abs(det_ratio) < 1e-12:
-        raise SingularMetricError("comparison tensor is degenerate; "
-                                  "add a multiple of g before inverting")
-    if det_ratio < 0.0:
-        raise SingularMetricError(f"det a / det g = {det_ratio:.3e} < 0; "
-                                  "no metric of matching signature exists")
-    ginv = np.linalg.inv(g)
-    gbar_inv = np.sqrt(det_ratio) * ginv @ a @ ginv
-    return np.linalg.inv(gbar_inv)
-
-
-def lambda_from_a(g_model, a_fn, point):
-    """lambda_k = (1/4) d_k (g^ij a_ij) for an explicit tensor field a_fn."""
-    gi = geom(g_model, point, 1)["ginv"]
-    a = jet_eval(a_fn, list(point.coords), 1)
-    tr = jet_einsum("ij,ij->", gi, a)
-    return 0.25 * tr.gradient().const
 
 
 def lambda_least_squares(model, sol, point):
@@ -434,40 +266,6 @@ def hpr_residual(model, sol, point):
     return da - first_order_rhs(sol.lam_jet(point, 0).const, g["g"].const, g["J"])
 
 
-def killing_residual(model, v_fn, point):
-    """Lie derivative of the metric along the vector field v (v_i,j + v_j,i)."""
-    g = geom(model, point, 1)
-    v = jet_eval(v_fn, list(point.coords), 1)
-    vlow = jet_einsum("ia,a->i", g["g"], v)
-    dv = cov_step_jet(vlow, ("l",), g["gamma"]).const
-    return dv + dv.T
-
-
-def psi_infinitesimal(model, u_fn, point):
-    """Trace-adjusted Lie derivative a_u at a point (the linear map sending an
-    infinitesimal transformation to a candidate solution)."""
-    return PsiSolution(model, u_fn).a_jet(point, 0).const
-
-
-def integrability_residual(model, sol, point, use_mu=False):
-    """Second-order compatibility defect of a candidate solution:
-
-        a_ia R^a_jkl + a_ja R^a_ikl
-          - Jproj[ dl_li g_jk + dl_lj g_ik - dl_ki g_jl - dl_kj g_il ]
-
-    with dl = nabla lambda taken from the field, or substituted from the
-    prolonged system (mu g + B a) when ``use_mu`` is set.
-    """
-    g = geom(model, point, 2)
-    gm = g["g"].const
-    a = sol.a_jet(point, 0).const
-    if use_mu:
-        dlam = sol.mu_at(point) * gm + sol.B * a
-    else:
-        dlam = cov_step_jet(sol.lam_jet(point, 1), ("l",), g["gamma"]).const
-    return curvature_condition(a, dlam, riemann(g["gamma"]), gm, g["J"])
-
-
 def c_identity_check(model, sol_a, sol_b, point, warn=None):
     """Max |c_il| for the trace-free cross-commutator of two solutions:
 
@@ -513,33 +311,6 @@ def lambda_scalar_field(model, sol):
         return float(sol.lambda_scalar_jet(pt, 0).const)
 
     return f
-
-
-def lambda_bar_field(model, sol):
-    """The raised J-rotated 1-form of a solution as a jet-evaluable vector
-    field (the candidate Killing direction)."""
-
-    def v(xs):
-        if isinstance(xs[0], Jet):
-            pt = model.point([x.const for x in xs])
-            order = xs[0].space.order
-            g = geom(model, pt, order)
-            lam = sol.lam_jet(pt, order)
-            lbar = jet_einsum("ai,a->i", g["J"], lam)
-            up = jet_einsum("ia,a->i", g["ginv"].truncate(lbar.space.order), lbar)
-            return [up[i] for i in range(model.dim)]
-        pt = model.point([float(x) for x in xs])
-        return list(sol.lambda_bar_vector_at(pt))
-
-    return v
-
-
-def is_verified_solution(model, sol, points, tol=1e-6):
-    """A solution is verified when its max first-order residual over the
-    sample set stays below tolerance."""
-    worst = max(float(np.max(np.abs(hpr_residual(model, sol, p))))
-                for p in points)
-    return worst <= tol, worst
 
 
 def solution_to_json(model, sol, points, with_mu=None):

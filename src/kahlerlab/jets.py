@@ -9,8 +9,7 @@ A :class:`Jet` stores the Taylor coefficients of a smooth function of
 Coefficients live in a numpy array of shape ``(ncoef, *payload)``, so a
 single Jet can carry a whole tensor (payload = component shape) and all
 operations broadcast over the payload.  Derivatives are read off the
-coefficients exactly; the finite-difference functions at the bottom of the
-module exist only as an independent cross-check of this backend.
+coefficients exactly.
 
 A product sums its Leibniz terms segment by segment over one multiplication
 table per space, sorted by target coefficient.  Inverses, scalar or matrix,
@@ -319,81 +318,6 @@ def _match(a, b):
     return a.truncate(p), b.truncate(p)
 
 
-# -- generic scalar helpers (work on floats, arrays and Jets) -----------
-
-def jsqrt(x):
-    """sqrt usable inside scalar-generic model/field formulas."""
-    return x.sqrt() if isinstance(x, Jet) else np.sqrt(x)
-
-
-def jlog(x):
-    """log usable inside scalar-generic model/field formulas."""
-    return x.log() if isinstance(x, Jet) else np.log(x)
-
-
-def jexp(x):
-    """exp usable inside scalar-generic model/field formulas."""
-    return x.exp() if isinstance(x, Jet) else np.exp(x)
-
-
-class CNum:
-    """Complex number over generic real scalars (float, array or Jet).
-
-    Only the rational operations needed by the chart formulas.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0.0):
-        self.re = re
-        self.im = im
-
-    def conj(self):
-        return CNum(self.re, -self.im)
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other):
-        other = _as_cnum(other)
-        return CNum(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CNum(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_as_cnum(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_cnum(other)
-        return CNum(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_cnum(other)
-        d = other.abs2()
-        num = self * other.conj()
-        return CNum(num.re / d, num.im / d)
-
-    def __rtruediv__(self, other):
-        return _as_cnum(other) / self
-
-
-def _as_cnum(x):
-    if isinstance(x, CNum):
-        return x
-    if isinstance(x, complex):
-        return CNum(x.real, x.imag)
-    return CNum(x, 0.0)
-
-
 # -- evaluation of scalar-generic functions ------------------------------
 
 def jet_pack(space, nested):
@@ -471,27 +395,3 @@ def jet_logdet(a):
         out = out + trace * ((-1.0) ** (k + 1) / k)
     return sign, out
 
-
-# -- finite-difference cross-check backend --------------------------------
-
-_FD4 = (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0)
-
-
-def fd_gradient(fn, x, step=1e-4):
-    """4th-order central first partials of fn (vector -> array) at x."""
-    x = np.asarray(x, dtype=float)
-    offs, weights = _FD4
-    cols = []
-    for v in range(len(x)):
-        acc = 0.0
-        for o, w in zip(offs, weights):
-            xp = x.copy()
-            xp[v] += o * step
-            acc = acc + w * np.asarray(fn(list(xp)), dtype=float)
-        cols.append(acc / step)
-    return np.stack(cols, axis=-1)
-
-
-def fd_hessian(fn, x, step=1e-3):
-    """4th-order central second partials (gradient of the FD gradient)."""
-    return fd_gradient(lambda y: fd_gradient(fn, y, step), x, step)

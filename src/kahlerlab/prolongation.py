@@ -1,6 +1,6 @@
 """Frobenius prolongation of the h-projective system, and everything that
 rides on it: linear transport, coupling-constant estimation, local mobility
-rank estimation, the third-order scalar equation, and signature reporting.
+rank estimation and the third-order scalar equation.
 
 The prolonged system in the unknowns (a_ij, lambda_i, mu) reads
 
@@ -19,8 +19,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import (DegenerateMetricError, InsufficientJetError,
-                     InvalidInputError, OutOfDomainError,
+from .errors import (InsufficientJetError, InvalidInputError, OutOfDomainError,
                      ProportionalSolutionError)
 from .geometry import christoffels, cov_derivatives, cov_step_jet, riemann
 from .hproj import (SolutionField, curvature_condition, first_order_rhs, geom,
@@ -44,19 +43,8 @@ class ProlongedState:
         self.lam = np.asarray(self.lam, dtype=float)
         self.mu = float(self.mu)
 
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
     def projected(self, J):
         return ProlongedState(hermitize(self.a, J), self.lam, self.mu)
-
-    def pack(self):
-        return _pack(self.a[None], self.lam[None], np.array([self.mu]))[0]
-
-    @staticmethod
-    def unpack(vec, dim):
-        return ProlongedState(*(x[0] for x in _unpack(np.asarray(vec)[None], dim)))
 
     def to_dict(self):
         return {"a": self.a.tolist(), "lambda": self.lam.tolist(), "mu": self.mu}
@@ -158,19 +146,6 @@ def constant_curvature_tensor(gm, J):
                    + np.einsum("ak,jl->ajkl", J, Jlow)
                    - np.einsum("al,jk->ajkl", J, Jlow)
                    + 2.0 * np.einsum("aj,kl->ajkl", J, Jlow))
-
-
-def curvature_B_condition(model, B, sol_or_a, point):
-    """Residual of the curvature compatibility condition
-
-        a_ia R^a_jkl + a_ja R^a_ikl = B * Jproj[a_li g_jk + ... ]
-
-    Zero for every hermitian a exactly when R + 4BK vanishes.
-    """
-    g = geom(model, point, 2)
-    a = sol_or_a.a_jet(point, 0).const if isinstance(sol_or_a, SolutionField) \
-        else np.asarray(sol_or_a, dtype=float)
-    return curvature_condition(a, B * a, riemann(g["gamma"]), g["g"].const, g["J"])
 
 
 # -- paths and transport -------------------------------------------------------
@@ -332,14 +307,6 @@ def transport_states(model, B, segments, states, step=1e-3):
     (list of segments) at a fixed step."""
     a, lam, mu = _transport_batch(model, B, segments, *_stack(states), step)
     return [ProlongedState(a[i], lam[i], mu[i]) for i in range(len(states))]
-
-
-def transport(model, B, segments, state: ProlongedState, step=1e-3):
-    """Transport one prolonged state along a path (list of segments or a
-    single Path) at a fixed step: a batch of one.  Linear in the state."""
-    if isinstance(segments, Path):
-        segments = [segments]
-    return transport_states(model, B, segments, [state], step)[0]
 
 
 def frobenius_complete(model, B, point, state: ProlongedState, order):
@@ -751,16 +718,3 @@ def laplace_identity_residual(model, sol, point, B=None):
     lhs = np.einsum("ij,ijk->k", g["ginv"].const, d3f)
     return lhs - 4.0 * B * (model.n + 1) * df
 
-
-def signature(model_or_matrix, point=None, tol=1e-10):
-    """Inertia (pos, neg) of the metric at a point via symmetric
-    eigendecomposition; near-zero eigenvalues raise."""
-    if point is not None:
-        gm = model_or_matrix.metric_at(point)
-    else:
-        gm = np.asarray(model_or_matrix, dtype=float)
-    w = np.linalg.eigvalsh(gm)
-    scale = float(np.max(np.abs(w)))
-    if np.any(np.abs(w) <= tol * scale):
-        raise DegenerateMetricError(f"metric eigenvalue within {tol} of zero: {w}")
-    return int(np.sum(w > 0)), int(np.sum(w < 0))

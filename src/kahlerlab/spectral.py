@@ -39,10 +39,6 @@ class ExtendedOperator:
     base_point: object
     n: int
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def selfadjoint_residual(self, gm):
         gh = hat_metric(gm)
         m = gh @ self.matrix
@@ -51,13 +47,6 @@ class ExtendedOperator:
     def jcommute_residual(self, J):
         jh = hat_J(J)
         return float(np.max(np.abs(jh @ self.matrix - self.matrix @ jh)))
-
-    def to_dict(self):
-        mp = minimal_poly(self)
-        return {"matrix": self.matrix.tolist(),
-                "base_point": self.base_point.coords.tolist(),
-                "spectrum_real": sorted(np.linalg.eigvals(self.matrix).real.tolist()),
-                "minimal_poly": mp.coefficients.tolist()}
 
 
 def hat_metric(gm):
@@ -106,14 +95,6 @@ def operator_jet(model, sol, point, order):
 def build_L(model, sol, point):
     """Package the solution triple at a point into the extended operator."""
     return ExtendedOperator(operator_jet(model, sol, point, 0).const, point, model.n)
-
-
-def triple_from_L(model, L: ExtendedOperator, point):
-    """Read the solution triple back off an operator of the block shape."""
-    m = L.matrix
-    gm = geom(model, point, 0)["g"].const
-    a = gm @ m[2:, 2:]
-    return ProlongedState(a, m[0, 2:].copy(), m[0, 0])
 
 
 def L_product(model, L1: ExtendedOperator, L2: ExtendedOperator, point=None,
@@ -384,11 +365,6 @@ class EigenstructureReport:
     k: int                       # half-dimension of the 1-eigenspace
     lambda_angle: float          # sine of the angle of span{lam, lbar} vs (1-mu)-eigenspace
     residual: float              # worst eigenvalue-cluster spread
-
-    def to_dict(self):
-        return {"mu": self.mu, "case": self.case, "k": self.k,
-                "eigenvalues": [[float(v), int(m)] for v, m in self.eigenvalues],
-                "lambda_angle": self.lambda_angle, "residual": self.residual}
 
 
 def eigenstructure_report(model, proj_sol, point, tol=1e-6):

@@ -1,5 +1,5 @@
-"""Pointwise algebraic operations on (0,2) tensors: the J-pair projection,
-hermitization, and the hermitian test.
+"""Pointwise algebraic operations on (0,2) tensors: the J-pair projection
+and hermitization.
 
 Components are plain arrays.  The (i, j) pair is the last two axes; any
 leading axes are a batch.
@@ -38,9 +38,3 @@ def hermitize(T, J):
         raise ShapeMismatchError(f"hermitize got shapes {t.shape} and {np.shape(J)}")
     return 0.25 * jtensor_contract(t + np.swapaxes(t, -1, -2), J)
 
-
-def is_hermitian(T, J, tol=1e-9):
-    """True when J^a_i T_aj + T_ia J^a_j vanishes to tolerance."""
-    t, j = np.asarray(T, dtype=float), np.asarray(J, dtype=float)
-    res = np.einsum("ai,aj->ij", j, t) + np.einsum("ia,aj->ij", t, j)
-    return float(np.max(np.abs(res))) <= tol

@@ -36,6 +36,16 @@ The jet-arithmetic references build the Leibniz pairs of a jet space from its
 exponent dict in a double loop and add the terms up with ``np.add.at``;
 inverses come from Newton's iteration X <- X (2 - A X), and determinants
 from LU with partial pivoting on the value part, over those products.
+
+``CNum`` is a complex number over generic real scalars (floats, arrays or
+jets), so complex chart formulas run on jets.  ``fd_gradient`` and
+``fd_hessian`` are 4th-order central differences: a derivative backend that
+shares nothing with the jets.
+
+The reference solution fields are exact by construction: the metric itself
+(c g, 0, -c B), and a field of caller-supplied jet builders.  They feed the
+package's residuals, which must vanish on them, or show a planted defect.
+``killing_residual`` is the Lie derivative of the metric along a vector field.
 """
 
 import math
@@ -43,8 +53,151 @@ from functools import lru_cache
 
 import numpy as np
 
-from kahlerlab.jets import CNum, Jet, jet_eval
+from kahlerlab.geometry import cov_step_jet
+from kahlerlab.hproj import SolutionField, geom
+from kahlerlab.jets import Jet, jet_einsum, jet_eval, jet_space
 from kahlerlab.tensors import jtensor_contract
+
+
+class CNum:
+    """Complex number over generic real scalars (float, array or Jet).
+
+    Only the rational operations needed by the chart formulas.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0.0):
+        self.re = re
+        self.im = im
+
+    def conj(self):
+        return CNum(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __add__(self, other):
+        other = _as_cnum(other)
+        return CNum(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CNum(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-_as_cnum(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _as_cnum(other)
+        return CNum(self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_cnum(other)
+        d = other.abs2()
+        num = self * other.conj()
+        return CNum(num.re / d, num.im / d)
+
+    def __rtruediv__(self, other):
+        return _as_cnum(other) / self
+
+
+def _as_cnum(x):
+    if isinstance(x, CNum):
+        return x
+    if isinstance(x, complex):
+        return CNum(x.real, x.imag)
+    return CNum(x, 0.0)
+
+
+# -- finite differences --------------------------------------------------------
+
+_FD4 = (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0)
+
+
+def fd_gradient(fn, x, step=1e-4):
+    """4th-order central first partials of fn (vector -> array) at x."""
+    x = np.asarray(x, dtype=float)
+    offs, weights = _FD4
+    cols = []
+    for v in range(len(x)):
+        acc = 0.0
+        for o, w in zip(offs, weights):
+            xp = x.copy()
+            xp[v] += o * step
+            acc = acc + w * np.asarray(fn(list(xp)), dtype=float)
+        cols.append(acc / step)
+    return np.stack(cols, axis=-1)
+
+
+def fd_hessian(fn, x, step=1e-3):
+    """4th-order central second partials (gradient of the FD gradient)."""
+    return fd_gradient(lambda y: fd_gradient(fn, y, step), x, step)
+
+
+# -- reference solution fields -------------------------------------------------
+
+def zero_vec_jet(model, order):
+    """The zero 1-form as a jet of the given order."""
+    sp = jet_space(model.dim, order)
+    return Jet(sp, np.zeros((sp.ncoef, model.dim)))
+
+
+class TrivialSolution(SolutionField):
+    """The metric itself, scaled: (c*g, 0, -c*B)."""
+
+    def __init__(self, model, c=1.0, B=None):
+        super().__init__(model, B)
+        self.c = float(c)
+
+    def a_jet(self, point, order):
+        return geom(self.model, point, order)["g"].truncate(order) * self.c
+
+    def lam_jet(self, point, order):
+        return zero_vec_jet(self.model, order)
+
+    def mu_jet(self, point, order):
+        return Jet.constant(jet_space(self.model.dim, order), -self.c * self.B)
+
+
+class ExplicitSolution(SolutionField):
+    """Solution with caller-supplied jet builders; an omitted builder falls
+    back to the quarter-trace lambda or the g-trace mu fit."""
+
+    def __init__(self, model, a_builder, lam_builder=None, mu_builder=None, B=None):
+        super().__init__(model, B)
+        self._a = a_builder
+        self._lam = lam_builder
+        self._mu = mu_builder
+
+    def a_jet(self, point, order):
+        return self._a(point, order)
+
+    def lam_jet(self, point, order):
+        if self._lam is None:
+            return super().lam_jet(point, order)
+        return self._lam(point, order)
+
+    def mu_jet(self, point, order):
+        if self._mu is None:
+            return super().mu_jet(point, order)
+        return self._mu(point, order)
+
+
+def killing_residual(model, v_fn, point):
+    """Lie derivative of the metric along the vector field v (v_i,j + v_j,i)."""
+    g = geom(model, point, 1)
+    v = jet_eval(v_fn, list(point.coords), 1)
+    vlow = jet_einsum("ia,a->i", g["g"], v)
+    dv = cov_step_jet(vlow, ("l",), g["gamma"]).const
+    return dv + dv.T
 
 
 def _to_cnums(xs):

@@ -16,11 +16,12 @@ from kahlerlab.curves import (ORDER_STEPS, ORDER_T_END, integrate_hplanar_batch,
                               killing_integral_drift, line_deviation, rk4_order_ratio)
 from kahlerlab.geometry import riemann
 from kahlerlab.hproj import (PairSolution, c_identity_check, geom, hpr_residual,
-                             killing_residual, lambda_bar_field,
                              lambda_scalar_field)
+from kahlerlab.jets import Jet, jet_einsum
 from kahlerlab.models import (flat_model, flat_torus, fubini_study,
                               product_model, pullback_fs)
-from kahlerlab.prolongation import (MobilityConfig, ProlongedState,
+from kahlerlab import prolongation
+from kahlerlab.prolongation import (MobilityConfig,
                                     constant_curvature_tensor,
                                     degree_of_mobility, estimate_B,
                                     extended_residual, kernel_certificate,
@@ -30,6 +31,7 @@ from kahlerlab.spectral import (L_product, PolynomialSolution, build_L,
                                 eigenstructure_report, hessian_mu_check,
                                 make_projector, minimal_poly,
                                 renormalize_to_minus_one)
+from oracles import killing_residual
 
 B_FS = -0.25
 N_COMPLEX = 2
@@ -92,6 +94,25 @@ def test_criterion_02_constant_holomorphic_curvature(fs):
               f"max |R + 4BK| = {worst:.2e} < 1e-7", time.monotonic() - t0, 10.0)
 
 
+def lambda_bar_field(model, sol):
+    """The raised J-rotated 1-form of a solution as a jet-evaluable vector
+    field (the candidate Killing direction)."""
+
+    def v(xs):
+        if isinstance(xs[0], Jet):
+            pt = model.point([x.const for x in xs])
+            order = xs[0].space.order
+            g = geom(model, pt, order)
+            lam = sol.lam_jet(pt, order)
+            lbar = jet_einsum("ai,a->i", g["J"], lam)
+            up = jet_einsum("ia,a->i", g["ginv"].truncate(lbar.space.order), lbar)
+            return [up[i] for i in range(model.dim)]
+        pt = model.point([float(x) for x in xs])
+        return list(sol.lambda_bar_vector_at(pt))
+
+    return v
+
+
 def test_criterion_03_hprojective_pair(fs, pair):
     t0 = time.monotonic()
     rng = np.random.default_rng(103)
@@ -141,12 +162,12 @@ def test_criterion_05_degree_of_mobility(fs):
                           flat_torus(2, 1.0)])
     rep_p = degree_of_mobility(prod, 0.0, prod.point(np.zeros(12)), cfg)
     # the three block-scaling solutions must lie in the kernel span
-    kernel = np.stack([s.pack() for s in rep_p.basis])
+    kernel = prolongation._pack(*prolongation._stack(rep_p.basis))
     block_err = 0.0
     for fi in range(3):
         a = np.zeros((12, 12))
         a[4 * fi:4 * fi + 4, 4 * fi:4 * fi + 4] = np.eye(4)
-        target = ProlongedState(a, np.zeros(12), 0.0).pack()
+        target = prolongation._pack(a[None], np.zeros((1, 12)), np.zeros(1))[0]
         coef, *_ = np.linalg.lstsq(kernel.T, target, rcond=None)
         block_err = max(block_err, float(np.max(np.abs(kernel.T @ coef - target))))
 

@@ -217,6 +217,89 @@ def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("model,message", [
+    ({"kind": "product", "n": 4}, "needs the key 'factors'"),
+    ({"kind": "pullback", "n": 2}, "needs the key 'A'"),
+    ({"kind": "fs", "n": "two"}, "key 'n' is malformed"),
+])
+def test_malformed_config_model_exit_2(tmp_path, capsys, model, message):
+    # the malformed models above, with no model flag next to them
+    cfg = _write(tmp_path, "cfg.json", {"model": model})
+    out = tmp_path / "rep.json"
+    assert _run(["verify-kahler", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,config,refused", [
+    (["verify-kahler", "--model", "torus", "--n", "3", "--periods", "2"], {},
+     "--model, --n, --periods"),
+    (["verify-kahler", "--mod", "flat"], {}, "--model"),          # a prefix argparse accepts
+    (["verify-kahler"], {"n": 3}, "--n"),                         # a config key alike
+    (["curvature", "--chart-index", "1"], {}, "--chart-index"),
+    (["mobility", "--B", "0", "--diag", "1", "2"], {}, "--diag"),
+    (["verify-kahler", "--A-file", "A.json"], {}, "--A-file"),
+    (["hplanar", "--A-file", "A.json"], {}, "--A-file"),          # flat: no Killing pair
+], ids=["three_flags", "prefix", "config_key", "chart_index", "diag", "A_file",
+        "hplanar_A_file"])
+def test_model_flag_next_to_a_config_model_exit_2(tmp_path, capsys, a_file, argv, config,
+                                                  refused):
+    argv = [a_file if a == "A.json" else a for a in argv]
+    cfg = _write(tmp_path, "cfg.json", {"model": {"kind": "flat", "n": 2}, **config})
+    out = tmp_path / "rep.json"
+    assert _run(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert err.rstrip().endswith(refused), err
+
+
+def test_hplanar_reads_a_file_next_to_a_config_fs_model(tmp_path, capsys, a_file):
+    cfg = _write(tmp_path, "cfg.json", {"model": {"kind": "fs", "n": 2}})
+    out = tmp_path / "rep.json"
+    assert _run(["hplanar", "--config", cfg, "--A-file", a_file, "--samples", "1",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["model"] == {"kind": "fs", "n": 2, "chart_index": 0}
+    assert "killing_integral_drift" in {c["name"] for c in rep["checks"]}
+    capsys.readouterr()
+
+
+def test_workload_config_ops_keep_their_config_model(tmp_path, monkeypatch):
+    wl = _perfbench_workloads()
+    monkeypatch.chdir(tmp_path)
+    for name, payload in wl.INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    argvs = [argv for name in wl.WORKLOADS for argv, _ in wl.ops(name, 7) if "--config" in argv]
+    assert argvs
+    for argv in argvs:
+        args = cli._parse(cli.build_parser(), argv)
+        assert cli._apply_config(args, argv).model == wl.INPUT_FILES[args.config]["model"]
+
+
+GOOD_CHECK = {"name": "c", "max_residual": 0.0, "tolerance": 1.0, "pass": True}
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]", "not json", "{}", json.dumps({"checks": []}),
+    json.dumps({"checks": GOOD_CHECK}), json.dumps({"checks": [3]}),
+    *(json.dumps({"checks": [{k: v for k, v in GOOD_CHECK.items() if k != key}]})
+      for key in GOOD_CHECK),
+], ids=["list", "not_json", "empty", "no_checks", "checks_object", "record_not_object",
+        *(f"no_{key}" for key in GOOD_CHECK)])
+def test_report_merge_refuses_what_is_not_a_report(tmp_path, capsys, content):
+    good = _write(tmp_path, "good.json", {"scenario": "x", "checks": [GOOD_CHECK]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = tmp_path / "merged.json"
+    assert _run(["report-merge", good, str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+
+
 def test_report_model_field_rebuilds_the_model(tmp_path, a_file, capsys):
     from kahlerlab.models import model_from_descriptor
     out = tmp_path / "rep.json"
@@ -481,7 +564,8 @@ def scenario_argvs(tmp_path, a_file):
     a2.write_text(json.dumps([[[d if i == j else 0, 0] for j in range(3)]
                               for i, d in enumerate([1, 3, 1])]))
     merged = tmp_path / "in.json"
-    merged.write_text(json.dumps({"scenario": "x", "checks": [], "artifacts": []}))
+    merged.write_text(json.dumps({"scenario": "x", "artifacts": [], "checks": [
+        {"name": "c", "max_residual": 0.0, "tolerance": 1.0, "pass": True}]}))
     return {
         "verify-kahler": ["--model", "flat", "--samples", "1"],
         "curvature": ["--model", "flat", "--B", "0", "--samples", "1"],

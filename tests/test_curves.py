@@ -4,10 +4,11 @@ import pytest
 from kahlerlab.curves import (ORDER_STEPS, ORDER_T_END, CurveSample, energy_drift,
                               hplanarity_defect, integrate_hplanar,
                               integrate_hplanar_batch, killing_integral_drift,
-                              line_deviation, poly_coefficient,
+                              line_deviation,
                               reparametrization_invariance_check, rk4_order_ratio)
 from kahlerlab.errors import (InvalidInputError, OutOfDomainError,
                               UnsupportedModelError)
+from kahlerlab.hproj import geom
 from kahlerlab.models import ChartPoint, flat_model, fubini_study, pullback_fs
 from oracles import oracle_geometry, projective_line_deviation
 
@@ -111,8 +112,8 @@ def test_batch_switches_charts_per_curve(fs2, ga_diag):
     for model in (fs2, ga_diag):
         x0s = [model.point([0.0] * 4), model.point([0.1, -0.05, 0.2, 0.0])] * 2
         v0s = [np.array([1.2, 0.0, 0.0, 0.0]), np.array([0.5, 0.2, -0.1, 0.3])] * 2
-        alphas = [0.0, -0.2, lambda t: 0.3 * np.sin(2 * t), poly_coefficient(-0.2, 0.5)]
-        betas = [0.0, 0.4, poly_coefficient(0.1, -0.6, 0.3), lambda t: 0.4 * np.cos(t)]
+        alphas = [0.0, -0.2, lambda t: 0.3 * np.sin(2 * t), lambda t: np.polyval([0.5, -0.2], t)]
+        betas = [0.0, 0.4, lambda t: np.polyval([0.3, -0.6, 0.1], t), lambda t: 0.4 * np.cos(t)]
         for t_ends, steps in (([3.0] * 2, [1e-2] * 2),
                               ([3.0, 1.234, 2.5, 0.77], [1e-2, 2e-2, 2.5e-2, 3e-3])):
             k = len(steps)
@@ -137,7 +138,7 @@ def test_killing_integral_drift(fs2, pair_sol, rng):
     assert killing_integral_drift(fs2, geo, vf, stride=20) < 1e-7
     assert killing_integral_drift(fs2, geo, lambda pt: np.zeros(4)) == 0.0
     # a gradient field is not Killing: visible drift
-    vf2 = lambda pt: pair_sol.lambda_vector_at(pt)
+    vf2 = lambda pt: geom(fs2, pt, 0)["ginv"].const @ pair_sol.lam_at(pt)
     assert killing_integral_drift(fs2, geo, vf2, stride=20) > 1e-4
 
 
@@ -233,12 +234,11 @@ def test_invalid_inputs(flat2):
 
 
 def test_poly_coefficient_builtin(fs2, rng):
-    from kahlerlab.curves import poly_coefficient
-    beta = poly_coefficient(0.1, -0.4, 0.2)
+    beta = lambda t: np.polyval([0.2, -0.4, 0.1], t)
     assert abs(beta(0.5) - (0.1 - 0.2 + 0.05)) < 1e-15
     x0 = fs2.point(rng.uniform(-0.2, 0.2, 4))
     v0 = rng.uniform(-0.5, 0.5, 4)
-    c = integrate_hplanar(fs2, x0, v0, poly_coefficient(0.2, 0.1), beta, 0.5, 2e-3)
+    c = integrate_hplanar(fs2, x0, v0, lambda t: np.polyval([0.1, 0.2], t), beta, 0.5, 2e-3)
     assert line_deviation(fs2, c, x0, v0) < 1e-7
 
 

@@ -2,20 +2,88 @@ import numpy as np
 import pytest
 
 from kahlerlab.errors import SingularMetricError
-from kahlerlab.geometry import cov_step_jet
-from kahlerlab.hproj import (CombinationSolution, PairSolution, PsiSolution,
-                             TrivialSolution, a_from_pair, c_identity_check,
-                             curvature_condition, gbar_from_a, geom,
-                             hermitian_symmetric_basis,
-                             hpr_residual, integrability_residual,
-                             killing_residual, lambda_from_a,
-                             lambda_least_squares, pair_a_jet, psi_infinitesimal)
-from kahlerlab.jets import jet_matrix_inverse
+from kahlerlab.geometry import cov_step_jet, riemann
+from kahlerlab.hproj import (PairSolution, SolutionField, c_identity_check,
+                             curvature_condition, geom, hermitian_symmetric_basis,
+                             hpr_residual, lambda_least_squares, pair_a_jet)
+from kahlerlab.jets import Jet, jet_einsum, jet_eval, jet_matrix_inverse
 from kahlerlab.models import (KahlerModel, flat_model, flat_torus, fubini_study,
                               product_model, pullback_fs, rescale_model, standard_J)
 from kahlerlab.tensors import hermitize
 from conftest import traced_peak
-from oracles import curvature_condition_einsum
+from oracles import (CNum, ExplicitSolution, TrivialSolution, curvature_condition_einsum,
+                     fd_gradient, killing_residual, zero_vec_jet)
+
+
+class CombinationSolution(SolutionField):
+    """Exact linear combination of solution fields over one model."""
+
+    def __init__(self, terms):
+        super().__init__(terms[0][1].model)
+        self.terms = terms
+
+    def _combine(self, name, point, order):
+        acc = None
+        for c, s in self.terms:
+            j = getattr(s, name)(point, order) * c
+            acc = j if acc is None else acc + j
+        return acc
+
+    def a_jet(self, point, order):
+        return self._combine("a_jet", point, order)
+
+    def lam_jet(self, point, order):
+        return self._combine("lam_jet", point, order)
+
+
+class PsiSolution(SolutionField):
+    """Solution induced by an infinitesimal transformation u:
+
+        a_u = L_u g - trace(g^-1 L_u g)/(2(n+1)) * g
+    """
+
+    def __init__(self, model, u_fn, B=None):
+        super().__init__(model, B)
+        self.u_fn = u_fn
+
+    def a_jet(self, point, order):
+        g = geom(self.model, point, order + 1)
+        u = jet_eval(self.u_fn, list(point.coords), order + 1)
+        ulow = jet_einsum("ia,a->i", g["g"], u)
+        du = cov_step_jet(ulow, ("l",), g["gamma"])  # u_i,j at order
+        lie = Jet(du.space, du.coef + np.swapaxes(du.coef, -1, -2))
+        tr = jet_einsum("ij,ij->", g["ginv"].truncate(du.space.order), lie)
+        coeff = 1.0 / (2.0 * (self.model.n + 1))
+        return lie - jet_einsum(",ij->ij", tr * coeff, g["g"].truncate(du.space.order))
+
+
+def gbar_from_a(g_model, a, point):
+    """Invert the comparison-tensor construction:
+
+        gbar^-1 = (det a / det g)^(1/2) g^-1 a g^-1   (matrix form)
+
+    Returns the (0,2) metric matrix. Degenerate `a` is rejected.
+    """
+    a = np.asarray(a, dtype=float)
+    g = geom(g_model, point, 0)["g"].const
+    det_ratio = float(np.linalg.det(a)) / float(np.linalg.det(g))
+    if abs(det_ratio) < 1e-12:
+        raise SingularMetricError("comparison tensor is degenerate; "
+                                  "add a multiple of g before inverting")
+    if det_ratio < 0.0:
+        raise SingularMetricError(f"det a / det g = {det_ratio:.3e} < 0; "
+                                  "no metric of matching signature exists")
+    ginv = np.linalg.inv(g)
+    gbar_inv = np.sqrt(det_ratio) * ginv @ a @ ginv
+    return np.linalg.inv(gbar_inv)
+
+
+def lambda_from_a(g_model, a_fn, point):
+    """lambda_k = (1/4) d_k (g^ij a_ij) for an explicit tensor field a_fn."""
+    gi = geom(g_model, point, 1)["ginv"]
+    a = jet_eval(a_fn, list(point.coords), 1)
+    tr = jet_einsum("ij,ij->", gi, a)
+    return 0.25 * tr.gradient().const
 
 
 def _a_pair_oracle(g, gbar, n):
@@ -26,7 +94,7 @@ def _a_pair_oracle(g, gbar, n):
 
 def test_a_from_pair_identity(fs2, rng):
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
-    a = a_from_pair(fs2, fs2, p)
+    a = pair_a_jet(fs2, fs2, p, 0).const
     assert np.allclose(a, fs2.metric_at(p), atol=1e-12)
 
 
@@ -34,7 +102,7 @@ def test_a_from_pair_scaled_metric(fs2, rng):
     c = 2.4
     scaled = rescale_model(fs2, c)
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
-    a = a_from_pair(fs2, scaled, p)
+    a = pair_a_jet(fs2, scaled, p, 0).const
     g = fs2.metric_at(p)
     assert np.allclose(a, c ** (-1.0 / 3.0) * g, atol=1e-12)
     assert np.allclose(a, _a_pair_oracle(g, c * g, 2), atol=1e-12)
@@ -44,7 +112,7 @@ def test_a_from_pair_matches_oracle_and_symmetry(fs2, ga_diag, rng):
     J = fs2.j_matrix()
     for _ in range(5):
         p = fs2.point(rng.uniform(-0.6, 0.6, 4))
-        a = a_from_pair(fs2, ga_diag, p)
+        a = pair_a_jet(fs2, ga_diag, p, 0).const
         oracle = _a_pair_oracle(fs2.metric_at(p), ga_diag.metric_at(p), 2)
         assert np.max(np.abs(a - oracle)) < 1e-12
         assert np.allclose(a, a.T)
@@ -56,7 +124,7 @@ def test_a_from_pair_nonconstant_trace(fs2, ga_diag):
     p1 = fs2.point([0.4, 0.3, -0.2, 0.1])
     tr = []
     for p in (p0, p1):
-        tr.append(np.trace(np.linalg.inv(fs2.metric_at(p)) @ a_from_pair(fs2, ga_diag, p)))
+        tr.append(np.trace(np.linalg.inv(fs2.metric_at(p)) @ pair_a_jet(fs2, ga_diag, p, 0).const))
     assert abs(tr[0] - tr[1]) > 1e-3
 
 
@@ -70,7 +138,7 @@ def test_negative_determinant_ratio_rejected(fs2, rng):
     # mixed-signature flat pairs still have a positive ratio and a real root
     gp = flat_model(2)
     gm = flat_model(2, diag=[1.0, -1.0])
-    a = a_from_pair(gp, gm, gp.point(rng.uniform(-1, 1, 4)))
+    a = pair_a_jet(gp, gm, gp.point(rng.uniform(-1, 1, 4)), 0).const
     assert np.isfinite(a).all()
 
     # hand-built constant metrics: one negative axis flips the sign of
@@ -109,7 +177,7 @@ def test_gbar_round_trips(fs2, ga_diag, rng):
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
     g = fs2.metric_at(p)
     assert np.allclose(gbar_from_a(fs2, g, p), g, atol=1e-12)
-    a = a_from_pair(fs2, ga_diag, p)
+    a = pair_a_jet(fs2, ga_diag, p, 0).const
     gbar = gbar_from_a(fs2, a, p)
     assert np.max(np.abs(gbar - ga_diag.metric_at(p))) < 1e-10
     # scaled example: a = c^{-1/(n+1)} g  ->  gbar = c g
@@ -129,7 +197,6 @@ def test_hpr_residual_trivial_and_pair(fs2, pair_sol, rng):
 
 
 def test_hpr_residual_detects_wrong_lambda(fs2, ga_diag, rng):
-    from kahlerlab.hproj import ExplicitSolution
     sol = PairSolution(fs2, ga_diag)
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
 
@@ -165,7 +232,6 @@ def test_killing_residual_unitary_generator(fs2, rng):
     assert np.allclose(X + X.conj().T, 0, atol=1e-12)
 
     def u_fn(xs):
-        from kahlerlab.jets import CNum
         z = [CNum(xs[0], xs[1]), CNum(xs[2], xs[3])]
         hom = [CNum(1.0, 0.0)] + z
         w = [sum((CNum(X[m, l].real, X[m, l].imag) * hom[l] for l in range(3)),
@@ -181,7 +247,7 @@ def test_killing_residual_unitary_generator(fs2, rng):
         res = killing_residual(fs2, u_fn, p)
         assert np.max(np.abs(res)) < 1e-12
         # and the induced candidate solution vanishes: L_u g = 0
-        assert np.max(np.abs(psi_infinitesimal(fs2, u_fn, p))) < 1e-12
+        assert np.max(np.abs(PsiSolution(fs2, u_fn).a_jet(p, 0).const)) < 1e-12
 
 
 def test_killing_residual_violations(fs2, rng):
@@ -210,7 +276,6 @@ def test_psi_nonunitary_generator_solves_system(fs2, rng):
     X = np.diag([0.5, 0.0, -0.2]).astype(complex)
 
     def u_fn(xs):
-        from kahlerlab.jets import CNum
         z = [CNum(xs[0], xs[1]), CNum(xs[2], xs[3])]
         hom = [CNum(1.0, 0.0)] + z
         w = [sum((CNum(X[m, l].real, X[m, l].imag) * hom[l] for l in range(3)),
@@ -247,7 +312,6 @@ def test_psi_matches_finite_flow_derivative(fs2, rng):
                   [0.1, 0.0, -0.2]])
 
     def u_fn(xs):
-        from kahlerlab.jets import CNum
         z = [CNum(xs[0], xs[1]), CNum(xs[2], xs[3])]
         hom = [CNum(1.0, 0.0)] + z
         w = [sum((CNum(X[m, l].real, X[m, l].imag) * hom[l] for l in range(3)),
@@ -264,7 +328,7 @@ def test_psi_matches_finite_flow_derivative(fs2, rng):
     for _ in range(3):
         p = fs2.point(rng.uniform(-0.4, 0.4, 4))
         da_dt = (plus.a_jet(p, 0).const - minus.a_jet(p, 0).const) / (2 * eps)
-        a_u = psi_infinitesimal(fs2, u_fn, p)
+        a_u = PsiSolution(fs2, u_fn).a_jet(p, 0).const
         assert np.max(np.abs(a_u + da_dt)) < 1e-6
 
 
@@ -284,20 +348,31 @@ def test_psi_linearity(fs2, rng):
         return [al * x + be * y for x, y in zip(a, b)]
 
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
-    lhs = psi_infinitesimal(fs2, combo, p)
-    rhs = al * psi_infinitesimal(fs2, u1, p) + be * psi_infinitesimal(fs2, u2, p)
+    lhs, a1, a2 = (PsiSolution(fs2, u).a_jet(p, 0).const for u in (combo, u1, u2))
+    rhs = al * a1 + be * a2
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _field_curvature_condition(model, sol, p):
+    """The curvature condition on a field's a and nabla lambda at p."""
+    g = geom(model, p, 2)
+    dlam = cov_step_jet(sol.lam_jet(p, 1), ("l",), g["gamma"]).const
+    return curvature_condition(sol.a_jet(p, 0).const, dlam, riemann(g["gamma"]),
+                               g["g"].const, g["J"])
 
 
 def test_integrability_residual(fs2, flat2, pair_sol, rng):
     for _ in range(3):
         p = fs2.point(rng.uniform(-0.6, 0.6, 4))
-        assert np.max(np.abs(integrability_residual(fs2, pair_sol, p))) < 1e-6
-        assert np.max(np.abs(integrability_residual(
-            fs2, pair_sol, p, use_mu=True))) < 1e-6
+        assert np.max(np.abs(_field_curvature_condition(fs2, pair_sol, p))) < 1e-6
+        # nabla lambda substituted from the prolonged system: mu g + B a
+        g = geom(fs2, p, 2)
+        a = pair_sol.a_jet(p, 0).const
+        dlam = float(pair_sol.mu_jet(p, 0).const) * g["g"].const + pair_sol.B * a
+        assert np.max(np.abs(curvature_condition(a, dlam, riemann(g["gamma"]),
+                                                 g["g"].const, g["J"]))) < 1e-6
     # flat, constant hermitian a, lambda = 0: exactly zero
-    from kahlerlab.hproj import ExplicitSolution, _zero_vec_jet
-    from kahlerlab.jets import Jet, jet_space
+    from kahlerlab.jets import jet_space
     basis = hermitian_symmetric_basis(flat2.j_matrix())
     a0 = basis[1]
 
@@ -305,14 +380,13 @@ def test_integrability_residual(fs2, flat2, pair_sol, rng):
         return Jet.constant(jet_space(4, order), a0)
 
     sol = ExplicitSolution(flat2, const_a,
-                           lam_builder=lambda pt, order: _zero_vec_jet(flat2, pt, order))
+                           lam_builder=lambda pt, order: zero_vec_jet(flat2, order))
     p = flat2.point(rng.uniform(-1, 1, 4))
-    assert np.max(np.abs(integrability_residual(flat2, sol, p))) == 0.0
+    assert np.max(np.abs(_field_curvature_condition(flat2, sol, p))) == 0.0
 
 
 def test_integrability_detects_random_violation(fs2, ga_diag, rng):
-    from kahlerlab.hproj import ExplicitSolution
-    from kahlerlab.jets import Jet, jet_space
+    from kahlerlab.jets import jet_space
     a0 = hermitize(rng.normal(size=(4, 4)), fs2.j_matrix())
 
     def const_a(point, order):
@@ -326,7 +400,7 @@ def test_integrability_detects_random_violation(fs2, ga_diag, rng):
 
     sol = ExplicitSolution(fs2, const_a, lam_builder=rand_lam)
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
-    assert np.max(np.abs(integrability_residual(fs2, sol, p))) > 1e-3
+    assert np.max(np.abs(_field_curvature_condition(fs2, sol, p))) > 1e-3
 
 
 def _curvature_inputs(rng, d, count):
@@ -405,8 +479,6 @@ def test_lemma2_anticommutation_invariants(fs2, pair_sol, rng):
 def test_gradient_consistency_of_lambda_scalar(fs2, pair_sol, rng):
     # lambda_i is the gradient of the quarter-trace scalar: cross-check by
     # finite differences of the scalar values
-    from kahlerlab.jets import fd_gradient
-
     def lam_sc(xs):
         return float(pair_sol.lambda_scalar_jet(
             fs2.point([float(v) for v in xs]), 0).const)
@@ -453,10 +525,10 @@ def test_pair_solution_on_cp3(rng):
 
 
 def test_is_verified_solution_and_json_export(fs2, pair_sol, rng):
-    from kahlerlab.hproj import is_verified_solution, solution_to_json
+    from kahlerlab.hproj import solution_to_json
     pts = [fs2.point(rng.uniform(-0.5, 0.5, 4)) for _ in range(4)]
-    ok, worst = is_verified_solution(fs2, pair_sol, pts)
-    assert ok and worst < 1e-7
+    worst = max(float(np.max(np.abs(hpr_residual(fs2, pair_sol, p)))) for p in pts)
+    assert worst < 1e-7
     payload = solution_to_json(fs2, pair_sol, pts)
     assert payload["chart"] == "c0" and len(payload["grid"]) == 4
     entry = payload["grid"][0]

@@ -7,12 +7,12 @@ from kahlerlab.errors import (ConfigError, InvalidInputError, UnsupportedDimensi
                               UnsupportedModelError)
 from kahlerlab.geometry import christoffels, riemann
 from kahlerlab.hproj import geom
-from kahlerlab.jets import fd_gradient, jet_eval
+from kahlerlab.jets import jet_eval
 from kahlerlab.models import (Chart, ChartPoint, complex_matrix_from_pairs,
                               flat_model, flat_torus, fubini_study,
                               model_from_descriptor, product_model,
                               pullback_fs, rescale_model)
-from oracles import fs_christoffel_oracle, pullback_metric_oracle
+from oracles import fd_gradient, fs_christoffel_oracle, pullback_metric_oracle
 
 
 def test_chart_invariants():

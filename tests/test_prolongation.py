@@ -1,26 +1,43 @@
 import numpy as np
 import pytest
 
-from kahlerlab.errors import (DegenerateMetricError, InvalidInputError,
-                              OutOfDomainError, ProportionalSolutionError)
+from kahlerlab.errors import InvalidInputError, OutOfDomainError, ProportionalSolutionError
 from kahlerlab.geometry import riemann
-from kahlerlab.hproj import ExplicitSolution, TrivialSolution, geom
+from kahlerlab.hproj import curvature_condition, geom
 from kahlerlab.jets import Jet, jet_space
 from kahlerlab.models import (flat_torus, fubini_study, product_model, pullback_fs,
                               rescale_model)
 from kahlerlab import prolongation
 from kahlerlab.prolongation import (MobilityConfig, Path, ProlongedState,
                                     TannoSolution, constant_curvature_tensor,
-                                    curvature_B_condition, degree_of_mobility,
-                                    estimate_B, extended_residual, fiber_basis,
-                                    fourier_loop, frobenius_complete,
-                                    kernel_certificate, lattice_loops,
-                                    laplace_identity_residual, line_path,
-                                    rectangle_loop, signature, tanno_residual,
-                                    transport, transport_states)
+                                    degree_of_mobility, estimate_B,
+                                    extended_residual, fiber_basis, fourier_loop,
+                                    frobenius_complete, kernel_certificate,
+                                    lattice_loops, laplace_identity_residual,
+                                    line_path, rectangle_loop, tanno_residual,
+                                    transport_states)
 from kahlerlab.tensors import hermitize
 from conftest import traced_peak
-from oracles import oracle_geometry, rhs_einsum
+from oracles import (ExplicitSolution, TrivialSolution, oracle_geometry, rhs_einsum,
+                     zero_vec_jet)
+
+
+def _packed(states):
+    """A list of ProlongedState as the rows of one matrix."""
+    return prolongation._pack(*prolongation._stack(states))
+
+
+def _field_state(sol, p):
+    """The fiber state (a, lambda, mu) of a solution field at p."""
+    return ProlongedState(sol.a_jet(p, 0).const, sol.lam_jet(p, 0).const,
+                          sol.mu_jet(p, 0).const)
+
+
+def _curvature_B_condition(model, B, sol, p):
+    """The curvature condition on a field's a at p, with nabla lambda = B a."""
+    g = geom(model, p, 2)
+    a = sol.a_jet(p, 0).const
+    return curvature_condition(a, B * a, riemann(g["gamma"]), g["g"].const, g["J"])
 
 
 def test_extended_residual_trivial_solution(fs2, rng):
@@ -74,14 +91,14 @@ def test_estimate_B_rejects_proportional(fs2, rng):
 
 
 def test_estimate_B_flat_torus_constant_solution(torus2, rng):
-    from kahlerlab.hproj import _zero_vec_jet, hermitian_symmetric_basis
+    from kahlerlab.hproj import hermitian_symmetric_basis
     a0 = hermitian_symmetric_basis(torus2.j_matrix())[1]
 
     def const_a(point, order):
         return Jet.constant(jet_space(4, order), a0)
 
     sol = ExplicitSolution(torus2, const_a,
-                           lam_builder=lambda pt, o: _zero_vec_jet(torus2, pt, o))
+                           lam_builder=lambda pt, o: zero_vec_jet(torus2, o))
     B, fit = estimate_B(torus2, sol, torus2.point(rng.uniform(-0.3, 0.3, 4)))
     assert B == 0.0 and fit == 0.0
 
@@ -91,7 +108,7 @@ def test_curvature_condition_and_gform_equivalence(fs2, pair_sol, rng):
     B = -0.25
     for _ in range(3):
         p = fs2.point(rng.uniform(-0.6, 0.6, 4))
-        res = curvature_B_condition(fs2, B, pair_sol, p)
+        res = _curvature_B_condition(fs2, B, pair_sol, p)
         assert np.max(np.abs(res)) < 1e-6
         g = geom(fs2, p, 2)
         R = riemann(g["gamma"])
@@ -101,7 +118,7 @@ def test_curvature_condition_and_gform_equivalence(fs2, pair_sol, rng):
                  + np.einsum("ja,aikl->ijkl", a, G))
         assert np.max(np.abs(res - gform)) < 1e-10
         # wrong constant leaves a visible residual
-        assert np.max(np.abs(curvature_B_condition(fs2, 1.0, pair_sol, p))) > 1e-2
+        assert np.max(np.abs(_curvature_B_condition(fs2, 1.0, pair_sol, p))) > 1e-2
 
 
 def test_constant_curvature_tensor_properties(fs2, rng):
@@ -127,7 +144,7 @@ def test_transport_trivial_state_follows_metric(fs2, rng):
     p0 = fs2.point(np.zeros(4))
     p1 = fs2.point(rng.uniform(-0.5, 0.5, 4))
     st = ProlongedState(fs2.metric_at(p0), np.zeros(4), -B)
-    out = transport(fs2, B, line_path("c0", p0.coords, p1.coords), st, step=1e-3)
+    out = transport_states(fs2, B, [line_path("c0", p0.coords, p1.coords)], [st], step=1e-3)[0]
     assert np.max(np.abs(out.a - fs2.metric_at(p1))) < 1e-10
     assert np.max(np.abs(out.lam)) < 1e-12
     assert abs(out.mu + B) < 1e-12
@@ -136,13 +153,13 @@ def test_transport_trivial_state_follows_metric(fs2, rng):
 def test_transport_matches_field_solution(fs2, pair_sol, rng):
     base = fs2.point(np.array([0.05, -0.1, 0.2, 0.1]))
     target = fs2.point(rng.uniform(-0.5, 0.5, 4))
-    st = ProlongedState(pair_sol.a_at(base), pair_sol.lam_at(base),
-                        pair_sol.mu_at(base))
-    out = transport(fs2, -0.25, line_path("c0", base.coords, target.coords),
-                    st, step=1e-3)
-    assert np.max(np.abs(out.a - pair_sol.a_at(target))) < 1e-6
-    assert np.max(np.abs(out.lam - pair_sol.lam_at(target))) < 1e-6
-    assert abs(out.mu - pair_sol.mu_at(target)) < 1e-6
+    st = _field_state(pair_sol, base)
+    out = transport_states(fs2, -0.25, [line_path("c0", base.coords, target.coords)],
+                           [st], step=1e-3)[0]
+    ref = _field_state(pair_sol, target)
+    assert np.max(np.abs(out.a - ref.a)) < 1e-6
+    assert np.max(np.abs(out.lam - ref.lam)) < 1e-6
+    assert abs(out.mu - ref.mu) < 1e-6
 
 
 def test_transport_linearity_and_zero_state(fs2, pair_sol, rng):
@@ -150,8 +167,7 @@ def test_transport_linearity_and_zero_state(fs2, pair_sol, rng):
     base = fs2.point(np.zeros(4))
     tgt = rng.uniform(-0.4, 0.4, 4)
     seg = [line_path("c0", base.coords, tgt)]
-    s1 = ProlongedState(pair_sol.a_at(base), pair_sol.lam_at(base),
-                        pair_sol.mu_at(base))
+    s1 = _field_state(pair_sol, base)
     s2 = ProlongedState(fs2.metric_at(base), np.zeros(4), -B)
     al, be = 0.6, -1.7
     combo = ProlongedState(al * s1.a + be * s2.a, al * s1.lam + be * s2.lam,
@@ -161,7 +177,7 @@ def test_transport_linearity_and_zero_state(fs2, pair_sol, rng):
     assert np.max(np.abs(oc.lam - al * o1.lam - be * o2.lam)) < 1e-10
     assert abs(oc.mu - al * o1.mu - be * o2.mu) < 1e-10
     zero = ProlongedState(np.zeros((4, 4)), np.zeros(4), 0.0)
-    oz = transport(fs2, B, seg, zero, step=5e-3)
+    oz = transport_states(fs2, B, seg, [zero], step=5e-3)[0]
     assert np.max(np.abs(oz.a)) == 0.0 and np.max(np.abs(oz.lam)) == 0.0
     assert oz.mu == 0.0
 
@@ -173,13 +189,12 @@ def test_transport_path_independence(fs2, pair_sol, rng):
     mid = np.array([0.35, 0.3, -0.1, 0.0])
     # a field solution, and a pure-a fiber direction (kernel element on this
     # model, where the compatibility constraints vanish identically)
-    states = [ProlongedState(pair_sol.a_at(base), pair_sol.lam_at(base),
-                             pair_sol.mu_at(base)),
-              fiber_basis(fs2)[0]]
+    states = [_field_state(pair_sol, base), fiber_basis(fs2)[0]]
     for st in states:
-        direct = transport(fs2, B, line_path("c0", base.coords, tgt), st, step=1e-3)
-        via = transport(fs2, B, [line_path("c0", base.coords, mid),
-                                 line_path("c0", mid, tgt)], st, step=1e-3)
+        direct = transport_states(fs2, B, [line_path("c0", base.coords, tgt)], [st],
+                                  step=1e-3)[0]
+        via = transport_states(fs2, B, [line_path("c0", base.coords, mid),
+                                        line_path("c0", mid, tgt)], [st], step=1e-3)[0]
         assert np.max(np.abs(direct.a - via.a)) < 1e-5
         assert np.max(np.abs(direct.lam - via.lam)) < 1e-5
         assert abs(direct.mu - via.mu) < 1e-5
@@ -188,14 +203,14 @@ def test_transport_path_independence(fs2, pair_sol, rng):
 def test_transport_domain_error(fs2, rng):
     st = ProlongedState(fs2.metric_at(fs2.point(np.zeros(4))), np.zeros(4), 0.25)
     with pytest.raises(OutOfDomainError):
-        transport(fs2, -0.25, line_path("c0", np.zeros(4), np.full(4, 9.0)),
-                  st, step=0.05)
+        transport_states(fs2, -0.25, [line_path("c0", np.zeros(4), np.full(4, 9.0))],
+                         [st], step=0.05)
 
 
 def test_frobenius_completion_matches_pair_jets(fs2, pair_sol, rng):
     # jets completed from the fiber state agree with the closed-form field
     p = fs2.point(rng.uniform(-0.4, 0.4, 4))
-    st = ProlongedState(pair_sol.a_at(p), pair_sol.lam_at(p), pair_sol.mu_at(p))
+    st = _field_state(pair_sol, p)
     a_j, lam_j, mu_j = frobenius_complete(fs2, -0.25, p, st, 2)
     a_ref = pair_sol.a_jet(p, 2)
     lam_ref = pair_sol.lam_jet(p, 2)
@@ -203,6 +218,37 @@ def test_frobenius_completion_matches_pair_jets(fs2, pair_sol, rng):
     assert np.max(np.abs(a_j.coef - a_ref.coef)) < 1e-9
     assert np.max(np.abs(lam_j.coef - lam_ref.coef)) < 1e-9
     assert np.max(np.abs(mu_j.coef - mu_ref.coef)) < 1e-9
+
+
+def _taylor_at(jet, dx):
+    """A jet's Taylor polynomial evaluated at the displacement dx."""
+    monomials = np.prod(np.asarray(dx) ** np.array(jet.space.exponents), axis=1)
+    return np.tensordot(monomials, jet.coef, axes=1)
+
+
+def test_curved_transport_matches_the_frobenius_series(fs2):
+    # the order-p Taylor series of the solution through a fiber state, read
+    # off the system's right-hand side with no RK4, against RK4 transport
+    # along the line from p to p + h u: their gap is the series' truncation
+    # error O(h^(p+1)), so halving h divides it by about 16 at p = 3
+    rng = np.random.default_rng(3)
+    B = -0.25
+    basis = prolongation._stack(fiber_basis(fs2))
+    st = ProlongedState(*(np.tensordot(rng.normal(size=9), x, axes=1) for x in basis))
+    p = fs2.point(rng.uniform(-0.3, 0.3, 4))
+    u = rng.normal(size=4)
+    u /= np.linalg.norm(u)
+
+    def gap(order, h):
+        series = frobenius_complete(fs2, B, p, st, order)
+        seg = line_path("c0", p.coords, p.coords + h * u)
+        ref = transport_states(fs2, B, [seg], [st], step=1e-3)[0]
+        return max(np.max(np.abs(_taylor_at(jet, h * u) - r))
+                   for jet, r in zip(series, (ref.a, ref.lam, ref.mu)))
+
+    gaps = [gap(3, h) for h in (0.08, 0.04, 0.02)]
+    assert all(12.0 <= coarse / fine <= 20.0 for coarse, fine in zip(gaps, gaps[1:])), gaps
+    assert gap(5, 0.02) < 1e-7
 
 
 def test_fiber_basis_dimension(fs2, torus2):
@@ -301,8 +347,7 @@ def test_kernel_basis_ignores_row_order(torus2, monkeypatch):
         reversed_rows = degree_of_mobility(model, 0.0)
         for field in ("singular_values", "gap", "dimension", "constraint_history"):
             assert getattr(reversed_rows, field) == getattr(report, field), field
-        for s, t in zip(report.basis, reversed_rows.basis):
-            assert np.max(np.abs(s.pack() - t.pack())) <= 1e-12
+        assert np.max(np.abs(_packed(report.basis) - _packed(reversed_rows.basis))) <= 1e-12
         # the kernel is exact to round-off: no gap, and zeros past the rank
         rank = len(report.singular_values) - report.dimension
         assert report.gap is None
@@ -404,7 +449,7 @@ def test_int_cond_rows_match_residual_operator(fs2, pair_sol, rng):
     R = riemann(g["gamma"])
     a = pair_sol.a_jet(p, 0).const
     rows = _int_cond_rows(g["g"].const, g["J"], R, -0.25, a[None])
-    direct = curvature_B_condition(fs2, -0.25, pair_sol, p)
+    direct = _curvature_B_condition(fs2, -0.25, pair_sol, p)
     assert np.max(np.abs(rows[:, 0] - direct.ravel())) < 1e-12
 
 
@@ -448,21 +493,12 @@ def test_laplace_identity(fs2, pair_sol, rng):
     assert np.max(np.abs(laplace_identity_residual(fs2, triv, p))) < 1e-12
 
 
-def test_signature(fs2, rng):
-    p = fs2.point(rng.uniform(-0.5, 0.5, 4))
-    assert signature(fs2, p) == (4, 0)
-    assert signature(np.diag([1.0, 1.0, -1.0, -1.0])) == (2, 2)
-    assert signature(-fs2.metric_at(p)) == (0, 4)
-    with pytest.raises(DegenerateMetricError):
-        signature(np.diag([1.0, 1.0, 1.0, 0.0]))
-
-
 def test_prolonged_state_pack_roundtrip(rng):
     st = ProlongedState(rng.normal(size=(4, 4)), rng.normal(size=4), 0.3)
-    back = ProlongedState.unpack(st.pack(), 4)
-    assert np.allclose(back.a, st.a)
-    assert np.allclose(back.lam, st.lam)
-    assert back.mu == st.mu
+    a, lam, mu = prolongation._unpack(_packed([st]), 4)
+    assert np.allclose(a[0], st.a)
+    assert np.allclose(lam[0], st.lam)
+    assert mu[0] == st.mu
 
 
 def _fs_products():
@@ -483,8 +519,8 @@ def test_mobility_product_with_curved_factor(name, rng):
                          n_transport_points=2, max_plane_loops=6)
     report = degree_of_mobility(model, B, base, cfg)
     assert report.dimension == 1
-    K = np.stack([s.pack() for s in report.basis])
-    v = ProlongedState(model.metric_at(base), np.zeros(8), -B).pack()
+    K = _packed(report.basis)
+    v = _packed([ProlongedState(model.metric_at(base), np.zeros(8), -B)])[0]
     coef, *_ = np.linalg.lstsq(K.T, v, rcond=None)
     assert np.linalg.norm(K.T @ coef - v) < 1e-10 * np.linalg.norm(v)
     _assert_certified(model, report, rng)
@@ -499,7 +535,8 @@ def test_transport_product_with_curved_factor(name):
     center = np.array([0.1, -0.05, 0.2, 0.0, 0.1, 0.05, -0.1, 0.15])
     st = ProlongedState(model.metric_at(model.point(center)), np.zeros(8), -B)
     for i, j in ((0, 2), (1, 5), (4, 7)):
-        out = transport(model, B, rectangle_loop("c0", center, i, j, 0.3), st, step=5e-3)
+        out = transport_states(model, B, rectangle_loop("c0", center, i, j, 0.3), [st],
+                               step=5e-3)[0]
         assert np.max(np.abs(out.a - st.a)) < 1e-8
         assert np.max(np.abs(out.lam)) < 1e-8
         assert abs(out.mu - st.mu) < 1e-8
@@ -585,10 +622,10 @@ def test_only_constant_segments_are_squared(fs2, flat2, monkeypatch):
     monkeypatch.setattr(prolongation, "_rhs", lambda *args: calls.append(1) or rhs(*args))
     st = fiber_basis(fs2)[0]
     seg = line_path("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
-    transport(fs2, -0.25, seg, st, step=0.05)
+    transport_states(fs2, -0.25, [seg], [st], step=0.05)
     assert len(calls) == 4 * int(np.ceil(seg.length / 0.05))     # every step of FS
     calls.clear()
-    transport(flat2, -0.25, seg, st, step=0.05)
+    transport_states(flat2, -0.25, [seg], [st], step=0.05)
     assert len(calls) == 4                                        # one step of the identity
 
 
@@ -598,7 +635,7 @@ def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch, rng):
     base = model.point(np.zeros(model.dim))
 
     def projector(report):
-        q, _ = np.linalg.qr(np.stack([s.pack() for s in report.basis]).T)
+        q, _ = np.linalg.qr(_packed(report.basis).T)
         return q @ q.T
 
     squared = degree_of_mobility(model, 0.0, base)
@@ -617,7 +654,7 @@ def test_transport_domain_checked_at_every_stage(fs2):
                                  18.0 * np.pi * np.cos(2 * np.pi * t) * e0), 1.0)
     st = fiber_basis(fs2)[0]
     with pytest.raises(OutOfDomainError):
-        transport(fs2, -0.25, bump, st, step=0.05)
+        transport_states(fs2, -0.25, [bump], [st], step=0.05)
 
 
 def test_certificate_of_a_non_finite_state_is_non_finite(fs2, rng):
