@@ -136,7 +136,7 @@ def run_hpr_check(args, rng):
     artifacts = []
     if args.dump_solution:
         from .hproj import solution_to_json
-        payload = solution_to_json(g_model, sol.with_B(float(np.mean(Bs))), pts)
+        payload = solution_to_json(sol.with_B(float(np.mean(Bs))), pts)
         with open(args.dump_solution, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         artifacts.append(args.dump_solution)

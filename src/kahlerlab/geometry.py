@@ -126,10 +126,6 @@ class KahlerReport:
     tol: float
     points: int
 
-    @property
-    def passed(self):
-        return all(v <= self.tol for v in self.residuals.values())
-
 
 def verify_kahler(g_fn, j_fn, points, tol=1e-9):
     """Check (g, J) compatibility at the sample points.

@@ -313,16 +313,15 @@ def lambda_scalar_field(model, sol):
     return f
 
 
-def solution_to_json(model, sol, points, with_mu=None):
+def solution_to_json(sol, points):
     """Serialize a solution field on a sample grid: chart, grid coordinates,
     and component arrays for a, lambda (and mu when a constant is set)."""
-    with_mu = (sol.B is not None) if with_mu is None else with_mu
     grid = []
     for p in points:
         entry = {"point": p.coords.tolist(),
                  "a": sol.a_jet(p, 0).const.tolist(),
                  "lambda": sol.lam_jet(p, 0).const.tolist()}
-        if with_mu:
+        if sol.B is not None:
             entry["mu"] = float(sol.mu_jet(p, 0).const)
         grid.append(entry)
     return {"chart": points[0].chart, "B": sol.B, "grid": grid}

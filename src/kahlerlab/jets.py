@@ -18,8 +18,8 @@ and determinants enter as log-determinants, log|det A_0| plus the series of
 tr(N^k) for the nilpotent N = A_0^-1 (A - A_0) (Griewank & Walther,
 *Evaluating Derivatives*, 2008; Neidinger, SIAM Review 52, 2010).
 
-Solution fields are written against plain scalar arithmetic (``+ - * /``
-and ``**``), so the same code runs on floats, on numpy arrays (batched
+Solution fields are written against plain scalar arithmetic
+(``+ - * /``), so the same code runs on floats, on numpy arrays (batched
 evaluation) and on Jets (derivative evaluation).  Model metric functions
 and chart transitions take the same scalar lists and return one tensor (an
 array, or a Jet with a (..., d, d) or (..., d) payload).
@@ -165,9 +165,6 @@ class Jet:
             idx = (idx,)
         return Jet(self.space, self.coef[(slice(None),) + idx])
 
-    def reshape(self, *shape):
-        return Jet(self.space, self.coef.reshape((self.space.ncoef,) + tuple(shape)))
-
     def truncate(self, order):
         if order > self.space.order:
             raise InvalidInputError("cannot truncate upward")
@@ -252,32 +249,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p == int(p) and p >= 0):
-            k = int(p)
-            out = Jet.constant(self.space, np.ones(self.payload_shape))
-            base = self
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
-            return out
-        return (self.log() * p).exp()
-
-    def log(self):
-        c0 = self.coef[0]
-        if np.any(c0 <= 0.0):
-            raise InvalidInputError("jet log of non-positive value")
-        t = self / c0 - 1.0          # nilpotent part
-        acc = Jet.constant(self.space, np.zeros(self.payload_shape))
-        term = t
-        for k in range(1, self.space.order + 1):
-            acc = acc + term * ((-1.0) ** (k + 1) / k)
-            if k < self.space.order:
-                term = term * t
-        return acc + np.log(c0)
-
     def exp(self):
         c0 = self.coef[0]
         t = self - c0                # nilpotent part
@@ -287,12 +258,6 @@ class Jet:
             term = term * t * (1.0 / k)
             acc = acc + term
         return acc * np.exp(c0)
-
-    def sqrt(self):
-        return self ** 0.5
-
-    def __repr__(self):
-        return f"Jet(m={self.space.nvars}, p={self.space.order}, payload={self.payload_shape})"
 
 
 def _inverse_coef(a, x0, mul):

@@ -132,7 +132,7 @@ class KahlerModel:
         best = (float(np.max(np.abs(point.coords))), point, velocity)
         for dst in self.transition_targets(point.chart):
             try:
-                jac_jet = jet_eval(self._transitions[(point.chart, dst)], list(point.coords), 1)
+                jac_jet = jet_eval(self.transition(point.chart, dst), list(point.coords), 1)
             except ZeroDivisionError:
                 continue
             y = jac_jet.const

@@ -148,62 +148,38 @@ def constant_curvature_tensor(gm, J):
                    + 2.0 * np.einsum("aj,kl->ajkl", J, Jlow))
 
 
-# -- paths and transport -------------------------------------------------------
+# -- segments and transport ----------------------------------------------------
 
 @dataclass
-class Path:
-    """One smooth parametrized segment t in [0,1] inside a single chart."""
+class Segment:
+    """The straight segment x(t) = x0 + t (x1 - x0), t in [0, 1], inside one
+    chart."""
 
     chart: str
-    fn: object          # t -> (x, xdot) arrays
-    length: float = 1.0
+    x0: np.ndarray
+    x1: np.ndarray
 
-    def __call__(self, t):
-        return self.fn(t)
-
-
-def line_path(chart, x0, x1):
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    d = x1 - x0
-    return Path(chart, lambda t: (x0 + t * d, d), float(np.linalg.norm(d)))
+    @property
+    def length(self):
+        return float(np.linalg.norm(self.x1 - self.x0))
 
 
 def rectangle_loop(chart, center, axis_i, axis_j, side):
-    """Four line segments around a coordinate-plane rectangle."""
+    """Four segments around a coordinate-plane rectangle."""
     center = np.asarray(center, dtype=float)
     e_i = np.zeros_like(center)
     e_j = np.zeros_like(center)
     e_i[axis_i] = side
     e_j[axis_j] = side
     corners = [center, center + e_i, center + e_i + e_j, center + e_j, center]
-    return [line_path(chart, corners[k], corners[k + 1]) for k in range(4)]
-
-
-def fourier_loop(chart, center, rng, radius=0.15, harmonics=2):
-    """A smooth random closed curve through the center point."""
-    center = np.asarray(center, dtype=float)
-    d = len(center)
-    cos_amp = rng.normal(size=(harmonics, d)) * radius / harmonics
-    sin_amp = rng.normal(size=(harmonics, d)) * radius / harmonics
-    r0 = cos_amp.sum(axis=0)
-
-    def fn(t):
-        w = 2.0 * np.pi * (np.arange(harmonics) + 1)
-        x = center - r0 + (cos_amp * np.cos(w * t)[:, None]
-                           + sin_amp * np.sin(w * t)[:, None]).sum(axis=0)
-        xd = ((-cos_amp * (w * np.sin(w * t))[:, None]
-               + sin_amp * (w * np.cos(w * t))[:, None])).sum(axis=0)
-        return x, xd
-
-    return [Path(chart, fn, float(2 * np.pi * radius))]
+    return [Segment(chart, corners[k], corners[k + 1]) for k in range(4)]
 
 
 def lattice_loops(model, base_point):
     """Closed loops of a periodic model: straight runs over one period."""
     if model.periods is None:
         return []
-    return [[line_path(base_point.chart, base_point.coords, base_point.coords + e)]
+    return [[Segment(base_point.chart, base_point.coords, base_point.coords + e)]
             for e in np.diag(model.periods)]
 
 
@@ -256,13 +232,13 @@ def _rhs(gm, J, gamma, xdot, B, a, lam, mu):
 
 
 def _transport_batch(model, B, segments, a, lam, mu, step):
-    """RK4 transport of a batch of states along a list of path segments, with
-    the hermitian projection of a after every step.
+    """RK4 transport of a batch of states along a list of segments, with the
+    hermitian projection of a after every step.
 
     The geometry at every RK4 stage point is precomputed in one batched jet
-    evaluation per segment (the path is known up front).  When every stage
-    point sees the same g and xdot and Gamma vanishes (a constant metric on
-    a straight segment), every step is the same linear map: one RK4 step of
+    evaluation per segment, whose velocity x1 - x0 is the same at every
+    stage.  When every stage point also sees the same g and Gamma vanishes
+    (a constant metric), every step is the same linear map: one RK4 step of
     the identity on the packed fiber, raised to the step count by squaring.
     """
     J = model.j_matrix(segments[0].chart)
@@ -271,7 +247,8 @@ def _transport_batch(model, B, segments, a, lam, mu, step):
         h = 1.0 / nsteps
         chart_box = model.chart(seg.chart)
         ts = np.minimum(np.arange(2 * nsteps + 1) * (h / 2.0), 1.0)
-        X, XD = (np.stack(v) for v in zip(*(seg(t) for t in ts)))
+        xdot = seg.x1 - seg.x0
+        X = seg.x0 + ts[:, None] * xdot
         if model.periods is None and not (
                 np.all(X >= chart_box.lo) and np.all(X <= chart_box.hi)):
             raise OutOfDomainError(
@@ -280,13 +257,13 @@ def _transport_batch(model, B, segments, a, lam, mu, step):
 
         def f(c, y):
             i = 2 * s + int(2 * c)      # stage c of step s sits at t = (s + c) h
-            return _rhs(G[i], J, GAM[i], XD[i], B, *y)
+            return _rhs(G[i], J, GAM[i], xdot, B, *y)
 
         def step_fn(y):
             y = rk4_step(f, y, h)
             return (hermitize(y[0], J),) + y[1:]
 
-        if not GAM.any() and (G == G[0]).all() and (XD == XD[0]).all():
+        if not GAM.any() and (G == G[0]).all():
             s, d = 0, J.shape[0]        # every step is the step from t = 0
             M = _pack(*step_fn(_unpack(np.eye(d * d + d + 1), d)))
             a, lam, mu = _unpack(_pack(a, lam, mu) @ np.linalg.matrix_power(M, nsteps), d)
@@ -371,11 +348,9 @@ SVD_TOL = 1e-8     # singular values above SVD_TOL times the largest make the ra
 class MobilityConfig:
     step: float = 2e-3
     loop_side: float = 0.3
-    n_random_loops: int = 4
     n_transport_points: int = 4
     max_batches: int = 64
     seed: int = 0
-    max_plane_loops: int = None   # cap on coordinate-plane rectangles
 
 
 @dataclass
@@ -426,7 +401,7 @@ def _constraint_rows(model, B, batch, start, states, step):
                 - _pack(*states)).T
     a = states[0]
     if not np.array_equal(payload, start.coords):
-        seg = line_path(start.chart, start.coords, payload)
+        seg = Segment(start.chart, start.coords, payload)
         a = _transport_batch(model, B, [seg], *states, step)[0]
     g = geom(model, model.point(payload, start.chart), 2)
     return _int_cond_rows(g["g"].const, g["J"], riemann(g["gamma"]), B, a)
@@ -489,6 +464,24 @@ def _pencil_candidates(model, base_point):
     return [float(np.mean(c)) + 0.0 for c in clusters]    # + 0.0 turns -0.0 into 0.0
 
 
+def _constraint_batches(model, base_point, config):
+    """The constraint batch queue of ``degree_of_mobility``, in order: the
+    curvature condition at the base point, closure around each lattice
+    loop, then the coordinate-plane rectangles interleaved with the
+    curvature condition at random points near the base point."""
+    rng = np.random.default_rng(config.seed)
+    d = model.dim
+    batches = [("point", base_point.coords)]
+    batches += [("loop", loop) for loop in lattice_loops(model, base_point)]
+    planes = [("loop", rectangle_loop(base_point.chart, base_point.coords,
+                                      i, j, config.loop_side))
+              for i in range(d) for j in range(i + 1, d)]
+    points = [("point", base_point.coords + rng.uniform(-0.25, 0.25, d))
+              for _ in range(config.n_transport_points)]
+    batches += [b for pair in zip_longest(planes, points) for b in pair if b is not None]
+    return batches
+
+
 def degree_of_mobility(model, B, base_point=None, config=None):
     """Estimate the dimension of the local solution space of the prolonged
     system at a coupling constant B.
@@ -496,7 +489,8 @@ def degree_of_mobility(model, B, base_point=None, config=None):
     Starting from the full (n+1)^2-dimensional fiber, linear constraints are
     imposed in batches (see ``_constraint_rows``): the curvature condition
     at the base point and at transported sample points, and transport
-    closure around lattice, rectangle and random loops.  Batches accumulate
+    closure around lattice and rectangle loops (``_constraint_batches``).
+    Batches accumulate
     until the rank is the same three times in a row (``stabilized``); the
     kernel of the stacked constraint matrix is returned as a basis of
     prolonged states at the base point.  Each batch's unit rows are stacked
@@ -523,30 +517,10 @@ def degree_of_mobility(model, B, base_point=None, config=None):
         tag = "B chosen by sweep over the curvature pencil"
         best.warning = f"{best.warning}; {tag}" if best.warning else tag
         return best
-    rng = np.random.default_rng(config.seed)
-    d = model.dim
     basis = fiber_basis(model)
     N = len(basis)
     states = _stack(basis)
-
-    # constraint batch stream
-    batches = [("point", base_point.coords)]
-    for loop in lattice_loops(model, base_point):
-        batches.append(("loop", loop))
-    plane_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if config.max_plane_loops is not None:
-        plane_pairs = plane_pairs[:config.max_plane_loops]
-    planes_queue = [("loop", rectangle_loop(base_point.chart, base_point.coords,
-                                            i, j, config.loop_side))
-                    for (i, j) in plane_pairs]
-    point_queue = [("point", base_point.coords + rng.uniform(-0.25, 0.25, d))
-                   for _ in range(config.n_transport_points)]
-    # interleave plane loops with transported-point conditions
-    for pair in zip_longest(planes_queue, point_queue):
-        batches.extend(b for b in pair if b is not None)
-    for _ in range(config.n_random_loops):
-        batches.append(("loop", fourier_loop(base_point.chart, base_point.coords,
-                                             rng, radius=config.loop_side / 2)))
+    batches = _constraint_batches(model, base_point, config)
 
     rows = []
     history = []
@@ -608,7 +582,7 @@ def mobility_basis_grid(model, report: MobilityReport, points, step=2e-3):
     grid = []
     for x in points:
         pt = model.point(x, base.chart)
-        seg = line_path(base.chart, base.coords, pt.coords)
+        seg = Segment(base.chart, base.coords, pt.coords)
         if seg.length == 0.0:
             states = report.basis
         else:
@@ -633,7 +607,7 @@ def kernel_certificate(model, B, base_point, states, points, step=2e-3):
     worst = 0.0
     for k, x in enumerate(points):
         pt = model.point(x, base_point.chart)
-        seg = line_path(pt.chart, base_point.coords, pt.coords)
+        seg = Segment(pt.chart, base_point.coords, pt.coords)
         moved = _transport_batch(model, B, [seg], *states, step)
         batches = [("point", pt.coords)]
         if model.periods is not None:

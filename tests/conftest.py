@@ -42,6 +42,11 @@ def sample_coords(rng, dim=4, half=0.6, count=1):
     return pts if count > 1 else pts[0]
 
 
+def passed(report):
+    """A KahlerReport's verdict: every residual within its tolerance."""
+    return all(v <= report.tol for v in report.residuals.values())
+
+
 def traced_peak(fn, *args):
     """(peak bytes that tracemalloc saw allocated during ``fn(*args)``, its
     result).  numpy reports its array buffers to tracemalloc, so this is the

@@ -9,6 +9,7 @@ from kahlerlab.jets import jet_eval
 from kahlerlab.models import (KahlerModel, flat_model, fubini_study, product_model,
                               standard_J)
 from kahlerlab.prolongation import constant_curvature_tensor
+from conftest import passed
 from oracles import (christoffels_from_partials, fd_gradient, fd_hessian,
                      pullback_metric_oracle, riemann_from_partials)
 
@@ -154,8 +155,8 @@ def test_ricci_identity_for_second_derivatives(fs2, ga_diag, rng):
 
 def test_verify_kahler_pass_and_fail(flat2, fs2, rng):
     pts = [list(rng.uniform(-0.5, 0.5, 4)) for _ in range(5)]
-    assert verify_kahler(flat2.metric_fn(), flat2.j_fn(), pts).passed
-    assert verify_kahler(fs2.metric_fn(), fs2.j_fn(), pts).passed
+    assert passed(verify_kahler(flat2.metric_fn(), flat2.j_fn(), pts))
+    assert passed(verify_kahler(fs2.metric_fn(), fs2.j_fn(), pts))
     # break J: flip the sign of one block so J^2 != -Id
     J_bad = standard_J(2)
     J_bad[0, 1] = 1.0
@@ -164,7 +165,7 @@ def test_verify_kahler_pass_and_fail(flat2, fs2, rng):
         return [[float(J_bad[i, j]) for j in range(4)] for i in range(4)]
 
     rep = verify_kahler(flat2.metric_fn(), bad_j, pts)
-    assert not rep.passed
+    assert not passed(rep)
     assert rep.residuals["J_squared"] > 0.5
 
 
@@ -172,7 +173,7 @@ def test_verify_kahler_all_models_property(fs2, flat2, torus2, rng):
     # curvature symmetries + compatibility at >= 20 points per model
     for model in (fs2, flat2, torus2):
         rep = model.verify(rng, count=20, tol=1e-9)
-        assert rep.passed, rep.residuals
+        assert passed(rep), rep.residuals
 
 
 def test_metric_jet_invariants(fs2, rng):

@@ -336,7 +336,7 @@ def test_psi_linearity(fs2, rng):
     def mk(coeffs):
         def u(xs):
             return [coeffs[0] * xs[0] * xs[1], coeffs[1] * xs[2],
-                    coeffs[2] * xs[3] ** 2, coeffs[3]]
+                    coeffs[2] * xs[3] * xs[3], coeffs[3]]
         return u
 
     u1, u2 = mk([1.0, 0.5, -0.3, 0.2]), mk([-0.7, 0.1, 0.9, -1.1])
@@ -529,7 +529,7 @@ def test_is_verified_solution_and_json_export(fs2, pair_sol, rng):
     pts = [fs2.point(rng.uniform(-0.5, 0.5, 4)) for _ in range(4)]
     worst = max(float(np.max(np.abs(hpr_residual(fs2, pair_sol, p)))) for p in pts)
     assert worst < 1e-7
-    payload = solution_to_json(fs2, pair_sol, pts)
+    payload = solution_to_json(pair_sol, pts)
     assert payload["chart"] == "c0" and len(payload["grid"]) == 4
     entry = payload["grid"][0]
     assert np.array(entry["a"]).shape == (4, 4)

@@ -8,13 +8,13 @@ from kahlerlab.jets import Jet, jet_space
 from kahlerlab.models import (flat_torus, fubini_study, product_model, pullback_fs,
                               rescale_model)
 from kahlerlab import prolongation
-from kahlerlab.prolongation import (MobilityConfig, Path, ProlongedState,
-                                    TannoSolution, constant_curvature_tensor,
+from kahlerlab.prolongation import (ROW_FLOOR, SVD_TOL, MobilityConfig, ProlongedState,
+                                    Segment, TannoSolution, constant_curvature_tensor,
                                     degree_of_mobility, estimate_B,
-                                    extended_residual, fiber_basis, fourier_loop,
+                                    extended_residual, fiber_basis,
                                     frobenius_complete, kernel_certificate,
                                     lattice_loops, laplace_identity_residual,
-                                    line_path, rectangle_loop, tanno_residual,
+                                    rectangle_loop, tanno_residual,
                                     transport_states)
 from kahlerlab.tensors import hermitize
 from conftest import traced_peak
@@ -144,7 +144,7 @@ def test_transport_trivial_state_follows_metric(fs2, rng):
     p0 = fs2.point(np.zeros(4))
     p1 = fs2.point(rng.uniform(-0.5, 0.5, 4))
     st = ProlongedState(fs2.metric_at(p0), np.zeros(4), -B)
-    out = transport_states(fs2, B, [line_path("c0", p0.coords, p1.coords)], [st], step=1e-3)[0]
+    out = transport_states(fs2, B, [Segment("c0", p0.coords, p1.coords)], [st], step=1e-3)[0]
     assert np.max(np.abs(out.a - fs2.metric_at(p1))) < 1e-10
     assert np.max(np.abs(out.lam)) < 1e-12
     assert abs(out.mu + B) < 1e-12
@@ -154,7 +154,7 @@ def test_transport_matches_field_solution(fs2, pair_sol, rng):
     base = fs2.point(np.array([0.05, -0.1, 0.2, 0.1]))
     target = fs2.point(rng.uniform(-0.5, 0.5, 4))
     st = _field_state(pair_sol, base)
-    out = transport_states(fs2, -0.25, [line_path("c0", base.coords, target.coords)],
+    out = transport_states(fs2, -0.25, [Segment("c0", base.coords, target.coords)],
                            [st], step=1e-3)[0]
     ref = _field_state(pair_sol, target)
     assert np.max(np.abs(out.a - ref.a)) < 1e-6
@@ -166,7 +166,7 @@ def test_transport_linearity_and_zero_state(fs2, pair_sol, rng):
     B = -0.25
     base = fs2.point(np.zeros(4))
     tgt = rng.uniform(-0.4, 0.4, 4)
-    seg = [line_path("c0", base.coords, tgt)]
+    seg = [Segment("c0", base.coords, tgt)]
     s1 = _field_state(pair_sol, base)
     s2 = ProlongedState(fs2.metric_at(base), np.zeros(4), -B)
     al, be = 0.6, -1.7
@@ -191,10 +191,10 @@ def test_transport_path_independence(fs2, pair_sol, rng):
     # model, where the compatibility constraints vanish identically)
     states = [_field_state(pair_sol, base), fiber_basis(fs2)[0]]
     for st in states:
-        direct = transport_states(fs2, B, [line_path("c0", base.coords, tgt)], [st],
+        direct = transport_states(fs2, B, [Segment("c0", base.coords, tgt)], [st],
                                   step=1e-3)[0]
-        via = transport_states(fs2, B, [line_path("c0", base.coords, mid),
-                                        line_path("c0", mid, tgt)], [st], step=1e-3)[0]
+        via = transport_states(fs2, B, [Segment("c0", base.coords, mid),
+                                        Segment("c0", mid, tgt)], [st], step=1e-3)[0]
         assert np.max(np.abs(direct.a - via.a)) < 1e-5
         assert np.max(np.abs(direct.lam - via.lam)) < 1e-5
         assert abs(direct.mu - via.mu) < 1e-5
@@ -203,7 +203,7 @@ def test_transport_path_independence(fs2, pair_sol, rng):
 def test_transport_domain_error(fs2, rng):
     st = ProlongedState(fs2.metric_at(fs2.point(np.zeros(4))), np.zeros(4), 0.25)
     with pytest.raises(OutOfDomainError):
-        transport_states(fs2, -0.25, [line_path("c0", np.zeros(4), np.full(4, 9.0))],
+        transport_states(fs2, -0.25, [Segment("c0", np.zeros(4), np.full(4, 9.0))],
                          [st], step=0.05)
 
 
@@ -241,7 +241,7 @@ def test_curved_transport_matches_the_frobenius_series(fs2):
 
     def gap(order, h):
         series = frobenius_complete(fs2, B, p, st, order)
-        seg = line_path("c0", p.coords, p.coords + h * u)
+        seg = Segment("c0", p.coords, p.coords + h * u)
         ref = transport_states(fs2, B, [seg], [st], step=1e-3)[0]
         return max(np.max(np.abs(_taylor_at(jet, h * u) - r))
                    for jet, r in zip(series, (ref.a, ref.lam, ref.mu)))
@@ -413,8 +413,7 @@ def test_mobility_cp3_attains_fiber_bound(rng):
     # dimension-independence of the rank procedure: (n+1)^2 = 16 on CP(3)
     from kahlerlab.models import fubini_study
     fs3 = fubini_study(3)
-    cfg = MobilityConfig(step=4e-3, loop_side=0.25, n_random_loops=2,
-                         n_transport_points=2)
+    cfg = MobilityConfig(step=4e-3, loop_side=0.25, n_transport_points=2)
     report = degree_of_mobility(fs3, -0.25, fs3.point(np.zeros(6)), cfg)
     assert report.dimension == 16
     _assert_certified(fs3, report, rng)
@@ -423,13 +422,12 @@ def test_mobility_cp3_attains_fiber_bound(rng):
 def test_lattice_and_rectangle_loops(torus2):
     loops = lattice_loops(torus2, torus2.point(np.zeros(4)))
     assert len(loops) == 4
+    assert all(np.array_equal(loop[0].x1 - loop[0].x0, e)
+               for loop, e in zip(loops, np.diag(torus2.periods)))
     rect = rectangle_loop("c0", np.zeros(4), 0, 1, 0.3)
     assert len(rect) == 4
-    start = rect[0](0.0)[0]
-    end = rect[3](1.0)[0]
-    assert np.allclose(start, end)
-    loop = fourier_loop("c0", np.zeros(4), np.random.default_rng(0))[0]
-    assert np.allclose(loop(0.0)[0], loop(1.0)[0], atol=1e-12)
+    assert all(np.array_equal(a.x1, b.x0) for a, b in zip(rect, rect[1:]))
+    assert np.array_equal(rect[0].x0, rect[3].x1)
 
 
 def test_batched_geometry_matches_pointwise(fs2, rng):
@@ -515,10 +513,11 @@ def test_mobility_product_with_curved_factor(name, rng):
     model = _fs_products()[name]
     B = -0.25
     base = model.point(np.zeros(8))
-    cfg = MobilityConfig(step=5e-3, loop_side=0.2, n_random_loops=1,
-                         n_transport_points=2, max_plane_loops=6)
+    cfg = MobilityConfig(step=5e-3, loop_side=0.2, n_transport_points=2)
     report = degree_of_mobility(model, B, base, cfg)
     assert report.dimension == 1
+    # the stop rule fires at the fifth of 31 batches
+    assert report.stabilized and report.constraint_history == [15, 19, 24, 24, 24]
     K = _packed(report.basis)
     v = _packed([ProlongedState(model.metric_at(base), np.zeros(8), -B)])[0]
     coef, *_ = np.linalg.lstsq(K.T, v, rcond=None)
@@ -540,6 +539,34 @@ def test_transport_product_with_curved_factor(name):
         assert np.max(np.abs(out.a - st.a)) < 1e-8
         assert np.max(np.abs(out.lam)) < 1e-8
         assert abs(out.mu - st.mu) < 1e-8
+
+
+@pytest.mark.parametrize("name,B,dim", [("fs2", -0.25, 9), ("fs2", 0.0, 1),
+                                        ("torus2", 0.0, 4), ("fs_x_flat", -0.25, 1)])
+def test_full_batch_queue_keeps_the_early_stopped_kernel(name, B, dim, fs2, torus2):
+    # the stop rule ends the stream after a few of its batches; the whole
+    # queue, stacked and cut by the same rule, has the reported rank, and
+    # every batch of it leaves the reported basis
+    model = {"fs2": fs2, "torus2": torus2, "fs_x_flat": _fs_products()["fs_x_flat"]}[name]
+    cfg = (MobilityConfig(step=5e-3, loop_side=0.2, n_transport_points=2)
+           if name == "fs_x_flat" else MobilityConfig())
+    base = model.point(np.zeros(model.dim))
+    report = degree_of_mobility(model, B, base, cfg)
+    assert report.dimension == dim
+    basis = fiber_basis(model)
+    fiber = prolongation._stack(basis)
+    kernel = prolongation._stack(report.basis)
+    rows = []
+    for batch in prolongation._constraint_batches(model, base, cfg):
+        raw = prolongation._constraint_rows(model, B, batch, base, fiber, cfg.step)
+        norms = np.linalg.norm(raw, axis=1)
+        keep = norms > ROW_FLOOR
+        rows.append(raw[keep] / norms[keep, None])
+        left = prolongation._constraint_rows(model, B, batch, base, kernel, cfg.step)
+        assert np.max(np.abs(left)) <= 1e-10
+    sv = np.linalg.svd(np.concatenate(rows), compute_uv=False)
+    rank = int(np.sum(sv > SVD_TOL * sv.max(initial=0.0)))    # no rows at all on FS
+    assert rank == len(basis) - report.dimension
 
 
 def test_geometry_leaves_models_untouched(rng):
@@ -567,12 +594,13 @@ def _stepwise(model, B, segments, a, lam, mu, step):
     for seg in segments:
         nsteps = max(1, int(np.ceil(seg.length / step)))
         h = 1.0 / nsteps
-        X, XD = (np.stack(v) for v in zip(*(seg(t) for t in np.arange(2 * nsteps + 1) * h / 2)))
+        xdot = seg.x1 - seg.x0
+        X = np.stack([seg.x0 + t * xdot for t in np.arange(2 * nsteps + 1) * h / 2])
         G, GAM = prolongation._geo_floats_batch(model, seg.chart, X)
         for s in range(nsteps):
             def f(c, y):
                 i = 2 * s + int(2 * c)
-                return prolongation._rhs(G[i], J, GAM[i], XD[i], B, *y)
+                return prolongation._rhs(G[i], J, GAM[i], xdot, B, *y)
             a, lam, mu = prolongation.rk4_step(f, (a, lam, mu), h)
             a = hermitize(a, J)
     return a, lam, mu
@@ -600,9 +628,9 @@ def test_squared_transport_matches_stepwise(name, B, raw, batch, flat2, torus2, 
     # shows) and on hermitian ones, as every caller passes
     model = {"torus": torus2, "tori3": _tori3(), "flat": flat2}[name]
     base = np.zeros(model.dim)
-    segments = [line_path("c0", base, rng.uniform(-0.4, 0.4, model.dim))]
+    segments = [Segment("c0", base, rng.uniform(-0.4, 0.4, model.dim))]
     if model.periods is not None:
-        segments += lattice_loops(model, model.point(segments[0](1.0)[0]))[0]
+        segments += lattice_loops(model, model.point(segments[0].x1))[0]
     N = 1 if batch == 1 else len(fiber_basis(model))
     a, lam, mu = (rng.normal(size=(N, model.dim, model.dim)),
                   rng.normal(size=(N, model.dim)), rng.normal(size=N))
@@ -621,7 +649,7 @@ def test_only_constant_segments_are_squared(fs2, flat2, monkeypatch):
     rhs = prolongation._rhs
     monkeypatch.setattr(prolongation, "_rhs", lambda *args: calls.append(1) or rhs(*args))
     st = fiber_basis(fs2)[0]
-    seg = line_path("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
+    seg = Segment("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
     transport_states(fs2, -0.25, [seg], [st], step=0.05)
     assert len(calls) == 4 * int(np.ceil(seg.length / 0.05))     # every step of FS
     calls.clear()
@@ -645,16 +673,6 @@ def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch, rng):
     assert squared.dimension == stepwise.dimension == model.n ** 2
     assert squared.constraint_history == stepwise.constraint_history
     assert np.max(np.abs(projector(squared) - projector(stepwise))) <= 1e-10
-
-
-def test_transport_domain_checked_at_every_stage(fs2):
-    # out of the chart box (|x| <= 4) near t = 1/4 and back by t = 1/2
-    e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    bump = Path("c0", lambda t: (9.0 * np.sin(2 * np.pi * t) * e0,
-                                 18.0 * np.pi * np.cos(2 * np.pi * t) * e0), 1.0)
-    st = fiber_basis(fs2)[0]
-    with pytest.raises(OutOfDomainError):
-        transport_states(fs2, -0.25, [bump], [st], step=0.05)
 
 
 def test_certificate_of_a_non_finite_state_is_non_finite(fs2, rng):

@@ -4,7 +4,7 @@ import pytest
 from kahlerlab.errors import (InvalidInputError, NoProjectorError,
                               ProjectorConsistencyError)
 from kahlerlab.prolongation import (ProlongedState, extended_residual,
-                                    line_path, transport_states)
+                                    Segment, transport_states)
 from kahlerlab.spectral import (ExtendedOperator, L_product,
                                 PolynomialSolution, build_L,
                                 eigenstructure_report, eval_poly, hat_J,
@@ -239,7 +239,7 @@ def test_eigenvalue_constancy_along_transport(renorm, rng):
     tgt = model.point(rng.uniform(-0.4, 0.4, 4))
     st = ProlongedState(sol.a_jet(base, 0).const, sol.lam_jet(base, 0).const,
                         float(sol.mu_jet(base, 0).const))
-    moved = transport_states(model, -1.0, [line_path("c0", base.coords, tgt.coords)],
+    moved = transport_states(model, -1.0, [Segment("c0", base.coords, tgt.coords)],
                              [st], step=1e-3)[0]
     L0 = build_L(model, sol, base).matrix
     m1 = np.zeros((6, 6))
