@@ -24,18 +24,22 @@ ORDER_STEPS = (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)
 
 @dataclass
 class CurveSample:
-    """A sampled curve: strictly increasing times, chart points, velocities."""
+    """A sampled curve: strictly increasing times (T,), the chart of each
+    sample (T,), coordinates X (T, d) and velocities V (T, d)."""
 
     times: np.ndarray
-    points: list
-    velocities: list
+    charts: np.ndarray
+    X: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         if np.any(np.diff(self.times) <= 0):
             raise InvalidInputError("sample times must be strictly increasing")
-        if not (len(self.times) == len(self.points) == len(self.velocities)):
-            raise InvalidInputError("times, points, velocities must align")
+        self.charts = np.asarray(self.charts, dtype=object)
+        self.X, self.V = np.asarray(self.X, dtype=float), np.asarray(self.V, dtype=float)
+        if not (len(self.times) == len(self.charts) == len(self.X) == len(self.V)):
+            raise InvalidInputError("times, charts, X and V must align")
 
     def __len__(self):
         return len(self.times)
@@ -43,7 +47,7 @@ class CurveSample:
     def export_csv(self, path, extras=None):
         """Write t, chart, coordinates, velocities (and optional extra
         per-sample columns) to a CSV file."""
-        d = len(self.velocities[0])
+        d = self.V.shape[1]
         cols = (["t", "chart"] + [f"x{i}" for i in range(d)]
                 + [f"v{i}" for i in range(d)])
         extras = extras or {}
@@ -52,9 +56,9 @@ class CurveSample:
             w = csv.writer(fh)
             w.writerow(cols)
             for idx in range(len(self)):
-                row = ([f"{self.times[idx]:.12g}", self.points[idx].chart]
-                       + [f"{c:.17g}" for c in self.points[idx].coords]
-                       + [f"{c:.17g}" for c in self.velocities[idx]])
+                row = ([f"{self.times[idx]:.12g}", self.charts[idx]]
+                       + [f"{c:.17g}" for c in self.X[idx]]
+                       + [f"{c:.17g}" for c in self.V[idx]])
                 row += [f"{extras[k][idx]:.6e}" for k in extras]
                 w.writerow(row)
 
@@ -102,16 +106,18 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
     alphas = [as_coefficient(a) for a in alphas]
     betas = [as_coefficient(b) for b in betas]
     nsteps = np.ceil(t_ends / steps).astype(int)
-    ticks = [(charts.copy(), X.copy(), V.copy())]
+    # row k holds every curve after its k-th step (a curve done ticking stays put)
+    hist_c = np.empty((int(np.max(nsteps)) + 1, nb), dtype=object)
+    hist_X = np.empty((len(hist_c),) + X.shape)
+    hist_V = np.empty_like(hist_X)
+    hist_c[0], hist_X[0], hist_V[0] = charts, X, V
 
-    def sample(b):
-        """Curve b so far; tick j stores the rows of the curves with >= j steps."""
-        k = min(len(ticks) - 1, nsteps[b])
-        rows = np.sum(nsteps[:b, None] >= np.arange(k + 1), axis=0)
+    def sample(b, k):
+        """Curve b through its k-th step, in rows of its own."""
         tk = np.arange(k) * steps[b]
         return CurveSample(np.concatenate([[0.0], tk + np.minimum(steps[b], t_ends[b] - tk)]),
-                           [ChartPoint(cs[r], xs[r]) for (cs, xs, _), r in zip(ticks, rows)],
-                           [vs[r] for (_, _, vs), r in zip(ticks, rows)])
+                           hist_c[:k + 1, b].copy(), hist_X[:k + 1, b].copy(),
+                           hist_V[:k + 1, b].copy())
 
     def f(c, y):
         XX, VV = y
@@ -142,37 +148,34 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
                 pt, vv = model.rechart(ChartPoint(chart, X[b]), V[b])
                 if not model.chart(pt.chart).contains(pt.coords):
                     raise OutOfDomainError(f"curve {b} left the atlas at t={t[i] + h[i, 0]:.4f}",
-                                           last_sample=sample(b))
+                                           last_sample=sample(b, s))
                 charts[b], X[b], V[b] = pt.chart, pt.coords, vv
-        ticks.append((charts[act], X[act], V[act]))
-    return [sample(b) for b in range(nb)]
+        hist_c[s + 1], hist_X[s + 1], hist_V[s + 1] = charts, X, V
+    return [sample(b, nsteps[b]) for b in range(nb)]
 
 
 # -- defect and membership tests ----------------------------------------------
 
-def _fd_velocity_derivative(curve):
-    """4th-order central dv/dt on the interior of a uniformly sampled curve."""
-    V = np.stack(curve.velocities)
-    h = float(curve.times[1] - curve.times[0])
-    dv = (V[:-4] - 8 * V[1:-3] + 8 * V[3:-1] - V[4:]) / (12 * h)
-    return dv  # aligned with samples 2..len-3
-
-
-def _wedge_defect(accel, v, J):
-    """Smallest singular value of column-normalized [acc | v | Jv].
+def _wedge_defect(acc, V, JV):
+    """Smallest singular value of column-normalized [acc | v | Jv], row by row.
 
     The acceleration column norm is floored at a fraction of |v|^2 (the
     natural scale of the quadratic connection term) so that a vanishing
     covariant acceleration — a geodesic — reads as dependent rather than
-    as amplified noise.
+    as amplified noise.  A row with |v| < 1e-14 reads 0, one without an
+    acceleration (NaN) reads NaN.
     """
-    vn = float(np.linalg.norm(v))
-    if vn < 1e-14:
-        return 0.0
-    floor = 1e-2 * vn * vn
-    cols = np.stack([accel / max(float(np.linalg.norm(accel)), floor),
-                     v / vn, (J @ v) / vn], axis=1)
-    return float(np.linalg.svd(cols, compute_uv=False)[-1])
+    # row norms as sqrt(v . v) by matmul: the bits of np.linalg.norm(v), which
+    # norm(V, axis=1) and einsum do not always reproduce
+    vn = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]))[:, 0, 0]
+    an = np.sqrt(np.matmul(acc[:, None, :], acc[:, :, None]))[:, 0, 0]
+    out = np.where(np.isnan(an), np.nan, 0.0)
+    ok = ~np.isnan(an) & (vn >= 1e-14)
+    vn, an = vn[ok, None], an[ok, None]
+    cols = np.stack([acc[ok] / np.maximum(an, 1e-2 * vn * vn),
+                     V[ok] / vn, JV[ok] / vn], axis=2)
+    out[ok] = np.linalg.svd(cols, compute_uv=False)[:, -1]
+    return out
 
 
 # Samples per geometry call along a curve: bounds the (terms, points, d, d)
@@ -183,53 +186,51 @@ _GEOMETRY_BLOCK = 128
 def _geometry_along(model, curve, idxs):
     """Metric and connection at selected samples, batched chart by chart in
     blocks of ``_GEOMETRY_BLOCK`` samples: two arrays aligned with ``idxs``."""
-    charts = np.array([curve.points[idx].chart for idx in idxs])
-    X = np.stack([curve.points[idx].coords for idx in idxs])
+    charts, X = curve.charts[idxs], curve.X[idxs]
     d = X.shape[1]
     gms, gammas = np.empty((len(idxs), d, d)), np.empty((len(idxs), d, d, d))
     for chart in np.unique(charts):
         pos = np.flatnonzero(charts == chart)
         for lo in range(0, len(pos), _GEOMETRY_BLOCK):
             block = pos[lo:lo + _GEOMETRY_BLOCK]
-            gms[block], gammas[block] = _geo_floats_batch(model, str(chart), X[block])
+            gms[block], gammas[block] = _geo_floats_batch(model, chart, X[block])
     return gms, gammas
 
 
 def _accelerations(model, curve):
     """Covariant accelerations dv/dt + Gamma(v, v) at samples 2..len-3, with
-    dv/dt from finite differences (independent of the integrator's own
-    right-hand side); None where the stencil straddles a chart switch."""
-    dv = _fd_velocity_derivative(curve)
-    idxs = list(range(2, len(curve) - 2))
-    _, gammas = _geometry_along(model, curve, idxs)
-    out = []
-    for pos, idx in enumerate(idxs):
-        v = curve.velocities[idx]
-        if len({curve.points[k].chart for k in (idx - 2, idx, idx + 2)}) > 1:
-            out.append(None)
-        else:
-            out.append(dv[idx - 2] + np.einsum("ijk,j,k->i", gammas[pos], v, v))
-    return out
+    dv/dt from a 4th-order central difference (independent of the
+    integrator's own right-hand side); NaN rows where the stencil straddles
+    a chart switch."""
+    if len(curve) < 5:
+        raise InvalidInputError("defect needs at least 5 samples")
+    V, charts = curve.V, curve.charts
+    h = float(curve.times[1] - curve.times[0])
+    dv = (V[:-4] - 8 * V[1:-3] + 8 * V[3:-1] - V[4:]) / (12 * h)
+    _, gammas = _geometry_along(model, curve, np.arange(2, len(curve) - 2))
+    acc = dv + np.einsum("bijk,bj,bk->bi", gammas, V[2:-2], V[2:-2])
+    acc[(charts[:-4] != charts[2:-2]) | (charts[4:] != charts[2:-2])] = np.nan
+    return acc
 
 
-def _defects(model, curve, accels):
-    """The wedge defect at samples 2..len-3 of the given accelerations, NaN
-    where there is none."""
-    return np.array([np.nan if accel is None else
-                     _wedge_defect(accel, curve.velocities[idx],
-                                   model.j_matrix(curve.points[idx].chart))
-                     for idx, accel in enumerate(accels, start=2)])
+def _j_velocities(model, curve):
+    """J v at every sample, with the J of the sample's chart."""
+    JV = np.empty_like(curve.V)
+    for chart in np.unique(curve.charts):
+        at = curve.charts == chart
+        JV[at] = curve.V[at] @ model.j_matrix(chart).T
+    return JV
 
 
 def hplanarity_defect(model, curve):
-    """Per-sample planarity defect: the smallest singular value of the
-    column-normalized matrix [acc | v | Jv], where the acceleration is
-    recovered from the samples by finite differences.  Zero iff the three
-    are dependent; NaN where the stencil straddles a chart switch.
+    """Per-sample planarity defect at samples 2..len-3: the smallest singular
+    value of the column-normalized matrix [acc | v | Jv], where the
+    acceleration is recovered from the samples by finite differences.  Zero
+    iff the three are dependent; NaN where the stencil straddles a chart
+    switch.
     """
-    if len(curve) < 5:
-        raise InvalidInputError("defect needs at least 5 samples")
-    return _defects(model, curve, _accelerations(model, curve))
+    return _wedge_defect(_accelerations(model, curve), curve.V[2:-2],
+                         _j_velocities(model, curve)[2:-2])
 
 
 LINE_KINDS = ("flat", "fs", "pullback")
@@ -266,25 +267,20 @@ def line_deviation(model, curve, x0: ChartPoint, v0, per_sample=False):
         span = [lift(x0.chart, x0.coords), homogeneous_map(model.n, int(x0.chart[1:]))[0] @ v0]
     J = standard_J(len(span[0]) // 2)
     q, _ = np.linalg.qr(np.stack(span + [J @ u for u in span], axis=1))
-    charts = np.array([pt.chart for pt in curve.points])
-    X = np.stack([pt.coords for pt in curve.points])
     vals = np.empty(len(curve))
-    for chart in np.unique(charts):
-        idx = charts == chart
-        W = lift(chart, X[idx])
+    for chart in np.unique(curve.charts):
+        idx = curve.charts == chart
+        W = lift(chart, curve.X[idx])
         vals[idx] = np.linalg.norm(W - (W @ q) @ q.T, axis=1)
     return vals if per_sample else float(np.max(vals))
 
 
-def _pairing_drift(model, curve, other, stride):
-    """Max drift of g(curve velocity, other(sample index)) over every
-    stride-th sample and the last one."""
-    idxs = list(range(0, len(curve), max(1, stride)))
-    if idxs[-1] != len(curve) - 1:
-        idxs.append(len(curve) - 1)
+def _pairing_drift(model, curve, stride, other):
+    """Max drift of g(v, w) over every stride-th sample and the last one,
+    w the rows ``other`` gives for those samples' indices."""
+    idxs = np.unique(np.append(np.arange(0, len(curve), max(1, stride)), len(curve) - 1))
     gms, _ = _geometry_along(model, curve, idxs)
-    vals = np.array([float(curve.velocities[idx] @ gms[pos] @ other(idx))
-                     for pos, idx in enumerate(idxs)])
+    vals = np.matmul(np.matmul(curve.V[idxs][:, None], gms), other(idxs)[:, :, None])[:, 0, 0]
     return float(np.max(np.abs(vals - vals[0])))
 
 
@@ -292,14 +288,16 @@ def killing_integral_drift(model, curve, v_field, stride=1):
     """Max drift of g(curve velocity, v) along a geodesic sample.
 
     ``stride`` monitors every stride-th sample (the pairing is smooth, so a
-    moderate stride loses nothing at these tolerances).
+    moderate stride loses nothing at these tolerances).  ``v_field`` is
+    called once per monitored sample, with its chart point.
     """
-    return _pairing_drift(model, curve, lambda idx: v_field(curve.points[idx]), stride)
+    return _pairing_drift(model, curve, stride, lambda idxs: np.stack(
+        [v_field(ChartPoint(curve.charts[i], curve.X[i])) for i in idxs]))
 
 
 def energy_drift(model, curve, stride=1):
     """Max drift of g(v, v) along the curve (conserved for geodesics)."""
-    return _pairing_drift(model, curve, lambda idx: curve.velocities[idx], stride)
+    return _pairing_drift(model, curve, stride, lambda idxs: curve.V[idxs])
 
 
 def reparametrization_invariance_check(model, curve, tol=1e-6):
@@ -308,16 +306,15 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
     The curve is reparametrized by the smooth monotone map
     s -> s^2 (3 - 2s) of the unit interval and the defect is recomputed on
     the reparametrized copy; the check passes iff both defects are below
-    tolerance or both above.  Returns (passed, defect, reparam_defect).
+    tolerance or both above.  Returns (passed, defects, reparam_defect):
+    the curve's per-sample defects as ``hplanarity_defect`` gives them, and
+    the worst defect of the copy.
     """
-    if len(curve) < 5:
-        raise InvalidInputError("need at least 5 samples")
-    accels = _accelerations(model, curve)
-    base_max = float(np.nanmax(_defects(model, curve, accels)))
+    acc, V = _accelerations(model, curve), curve.V[2:-2]
+    JV = _j_velocities(model, curve)[2:-2]
+    defects = _wedge_defect(acc, V, JV)
 
-    t_end = float(curve.times[-1])
-    idxs = [idx for idx, accel in enumerate(accels, start=2) if accel is not None]
-    t = curve.times[idxs]
+    t_end, t = float(curve.times[-1]), curve.times[2:-2]
     # invert t = t_end * s^2 (3 - 2 s) for s in [0, 1], every sample at once
     lo, hi = np.zeros(len(t)), np.ones(len(t))
     for _ in range(60):
@@ -327,16 +324,12 @@ def reparametrization_invariance_check(model, curve, tol=1e-6):
     s = 0.5 * (lo + hi)
     tds = t_end * (6 * s - 6 * s * s)
     tdds = t_end * (6 - 12 * s)
-    worst = 0.0
-    for idx, td, tdd in zip(idxs, tds, tdds):
-        if abs(td) < 1e-8:
-            continue
-        v = curve.velocities[idx]
-        new_acc = td * td * accels[idx - 2] + tdd * v
-        worst = max(worst, _wedge_defect(new_acc, td * v,
-                                         model.j_matrix(curve.points[idx].chart)))
-    passed = (base_max <= tol) == (worst <= tol)
-    return passed, base_max, worst
+    keep = ~np.isnan(acc[:, 0]) & (np.abs(tds) >= 1e-8)
+    td, tdd = tds[keep, None], tdds[keep, None]
+    worst = float(np.max(_wedge_defect(td * td * acc[keep] + tdd * V[keep],
+                                       td * V[keep], td * JV[keep]), initial=0.0))
+    passed = (float(np.nanmax(defects)) <= tol) == (worst <= tol)
+    return passed, defects, worst
 
 
 def rk4_order_ratio(ends):

@@ -277,8 +277,7 @@ def c_identity_check(model, sol_a, sol_b, point, warn=None):
     linear-independence hypothesis at the point.
     """
     g = geom(model, point, 1)
-    gm = g["g"].const
-    ginv = np.linalg.inv(gm)
+    gm, ginv = g["g"].const, g["ginv"].const
     d = model.dim
 
     def tracefree_parts(sol):

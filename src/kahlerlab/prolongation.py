@@ -114,8 +114,7 @@ def estimate_B(model, sol, point, rel_floor=1e-8):
     Returns (B, fit_residual).  Solutions proportional to g are rejected.
     """
     g = geom(model, point, 1)
-    gm = g["g"].const
-    ginv = np.linalg.inv(gm)
+    gm, ginv = g["g"].const, g["ginv"].const
     d = model.dim
     a = sol.a_jet(point, 0).const
     lam_sc = float(sol.lambda_scalar_jet(point, 0).const)
@@ -342,13 +341,13 @@ def _coordinate_rhs_jets(gjet, Jlow_jet, gamma, J, B, a_jet, lam_jet, mu_jet):
 
 ROW_FLOOR = 1e-7   # shorter constraint rows are dropped before normalization
 SVD_TOL = 1e-8     # singular values above SVD_TOL times the largest make the rank
+LOOP_SIDE = 0.3    # side of each coordinate-plane rectangle loop
+N_TRANSPORT_POINTS = 4   # random curvature-condition points near the base point
 
 
 @dataclass
 class MobilityConfig:
     step: float = 2e-3
-    loop_side: float = 0.3
-    n_transport_points: int = 4
     max_batches: int = 64
     seed: int = 0
 
@@ -474,10 +473,10 @@ def _constraint_batches(model, base_point, config):
     batches = [("point", base_point.coords)]
     batches += [("loop", loop) for loop in lattice_loops(model, base_point)]
     planes = [("loop", rectangle_loop(base_point.chart, base_point.coords,
-                                      i, j, config.loop_side))
+                                      i, j, LOOP_SIDE))
               for i in range(d) for j in range(i + 1, d)]
     points = [("point", base_point.coords + rng.uniform(-0.25, 0.25, d))
-              for _ in range(config.n_transport_points)]
+              for _ in range(N_TRANSPORT_POINTS)]
     batches += [b for pair in zip_longest(planes, points) for b in pair if b is not None]
     return batches
 

@@ -126,7 +126,7 @@ def L_product(model, L1: ExtendedOperator, L2: ExtendedOperator, point=None,
     prod = ExtendedOperator(m1 @ m2, point, L1.n)
     a_tilde = gm @ (aup @ Aup + np.outer(lam_up, Lam) + np.outer(lbar_up, Lbar))
     lam_tilde = mu * Lam + lam @ Aup
-    mu_tilde = mu * M + lam @ (np.linalg.inv(gm) @ Lam)
+    mu_tilde = mu * M + lam @ (g["ginv"].const @ Lam)
     triple = ProlongedState(a_tilde, lam_tilde, mu_tilde)
     return prod, triple, {"cond_mixed": cond1, "cond_isotropy": cond2,
                           "closed": closed}
@@ -152,7 +152,6 @@ class MinimalPoly:
     coefficients: np.ndarray      # descending, monic
     clusters: list                # (center, algebraic multiplicity, exponent)
     warning: str = None
-    alternative: np.ndarray = None  # candidate with near-coincident clusters merged
     ambiguous: bool = False       # two clusters within 10x the clustering tolerance
 
     @property
@@ -194,7 +193,7 @@ def minimal_poly(L, tol=1e-6):
     (detected from nullity growth — a diagnostic, these operators are
     diagonalizable in all intended uses).  Two clusters within 10x the
     tolerance make the clustering ill-conditioned: a warning is set and the
-    merged-cluster candidate polynomial is attached as ``alternative``.
+    result is marked ``ambiguous``.
     """
     m = L.matrix if isinstance(L, ExtendedOperator) else np.asarray(L, dtype=float)
     scale = float(np.linalg.norm(m, 2))
@@ -202,20 +201,14 @@ def minimal_poly(L, tol=1e-6):
     eigs = np.linalg.eigvals(m / scale)
     centers, counts = _cluster(list(eigs), tol)
     warning = None
-    alternative = None
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if abs(centers[i] - centers[j]) < 10 * tol:
                 warning = (f"clusters {centers[i]:.3e} and {centers[j]:.3e} "
                            "are within 10x the clustering tolerance")
-    if warning is not None:
-        merged_centers, merged_counts = _cluster(list(eigs), 10 * tol)
-        if len(merged_centers) < len(centers):
-            alternative, _, _ = _poly_from_clusters(
-                merged_centers, merged_counts, m, scale, 10 * tol)
     poly, clusters, jordan_warning = _poly_from_clusters(centers, counts, m,
                                                          scale, tol)
-    return MinimalPoly(poly, clusters, warning or jordan_warning, alternative, warning is not None)
+    return MinimalPoly(poly, clusters, warning or jordan_warning, warning is not None)
 
 
 def _jordan_exponent(m, lam, alg_mult, tol):
@@ -364,7 +357,6 @@ class EigenstructureReport:
     eigenvalues: list            # (value, multiplicity)
     k: int                       # half-dimension of the 1-eigenspace
     lambda_angle: float          # sine of the angle of span{lam, lbar} vs (1-mu)-eigenspace
-    residual: float              # worst eigenvalue-cluster spread
 
 
 def eigenstructure_report(model, proj_sol, point, tol=1e-6):
@@ -377,8 +369,7 @@ def eigenstructure_report(model, proj_sol, point, tol=1e-6):
     into the 0- or 1-group.
     """
     g = geom(model, point, 0)
-    gm, J = g["g"].const, g["J"]
-    ginv = np.linalg.inv(gm)
+    gm, ginv, J = g["g"].const, g["ginv"].const, g["J"]
     a = proj_sol.a_jet(point, 0).const
     lam = proj_sol.lam_jet(point, 0).const
     mu = float(proj_sol.mu_jet(point, 0).const)
@@ -390,11 +381,6 @@ def eigenstructure_report(model, proj_sol, point, tol=1e-6):
     if np.max(np.abs(eigs.imag)) > 1e-7:
         raise ProjectorConsistencyError("complex eigenvalues in a projector solution")
     centers, counts = _cluster([complex(e.real, 0.0) for e in eigs], 1e-5)
-    spread = 0.0
-    for c in centers:
-        members = [abs(e - c) for e in eigs if abs(e - c) < 1e-4]
-        if members:
-            spread = max(spread, float(max(members)))
     table = [(float(c.real), int(cnt)) for c, cnt in zip(centers, counts)]
 
     interior = tol < mu < 1.0 - tol
@@ -423,7 +409,7 @@ def eigenstructure_report(model, proj_sol, point, tol=1e-6):
         qe = vt[-2:].T
         # sine of the largest principal angle between the two planes
         angle = float(np.linalg.norm(qs - qe @ (qe.T @ qs), 2))
-    return EigenstructureReport(mu, case, table, k, angle, spread)
+    return EigenstructureReport(mu, case, table, k, angle)
 
 
 def hessian_mu_check(model, proj_sol, point):

@@ -25,6 +25,12 @@ The line reference lifts each sample of a curve on its own to homogeneous
 coordinates with complex numbers, the way ``line_deviation`` worked before
 it lifted whole curves through the realified chart map.
 
+The h-planar curve references work one sample at a time: the wedge defect
+of [acc | v | Jv] with the covariant acceleration from a finite difference
+and ``oracle_geometry``, its reparametrized copy, and the metric pairing
+along a curve, the way the package computed them before it took whole
+curves as arrays.
+
 The transport reference is the prolonged system's right-hand side along a
 curve, written index by index with einsum.
 
@@ -294,15 +300,15 @@ def projective_line_deviation(curve, x0, v0):
     """Per-sample distance of a curve in CP(n) from the complex line of its
     initial data: each sample on its own is lifted to normalized homogeneous
     coordinates (1 in the chart's slot) and projected with a complex QR."""
-    def lift(pt):
-        z = pt.coords[0::2] + 1j * pt.coords[1::2]
-        hom = np.insert(z, int(pt.chart[1:]), 1.0)
+    def lift(chart, coords):
+        z = coords[0::2] + 1j * coords[1::2]
+        hom = np.insert(z, int(chart[1:]), 1.0)
         return hom / np.linalg.norm(hom)
 
     dv = np.insert(v0[0::2] + 1j * v0[1::2], int(x0.chart[1:]), 0.0)
-    q, _ = np.linalg.qr(np.stack([lift(x0), dv], axis=1))
+    q, _ = np.linalg.qr(np.stack([lift(x0.chart, x0.coords), dv], axis=1))
     return np.array([np.linalg.norm(w - q @ (q.conj().T @ w))
-                     for w in map(lift, curve.points)])
+                     for w in map(lift, curve.charts, curve.X)])
 
 
 def _lower(dg):
@@ -333,6 +339,62 @@ def oracle_geometry(metric_fn, x):
     j = jet_eval(metric_fn, list(x), 1)
     return j.const, christoffels_from_partials(j.const, j.derivatives(1))
 
+
+
+# -- h-planar curve checks ----------------------------------------------------
+
+def wedge_defect(accel, v, J):
+    """Smallest singular value of column-normalized [accel | v | Jv] at one
+    sample; the acceleration column norm is floored at 1e-2 |v|^2, and
+    |v| < 1e-14 gives 0."""
+    vn = float(np.linalg.norm(v))
+    if vn < 1e-14:
+        return 0.0
+    cols = np.stack([accel / max(float(np.linalg.norm(accel)), 1e-2 * vn * vn),
+                     v / vn, (J @ v) / vn], axis=1)
+    return float(np.linalg.svd(cols, compute_uv=False)[-1])
+
+
+def curve_defects(model, curve):
+    """The per-sample wedge defects at samples 2..len-3 (NaN where samples
+    idx-2, idx and idx+2 do not share a chart) and the worst defect of the
+    curve reparametrized by t = t_end s^2 (3 - 2 s), one sample at a time.
+    The covariant acceleration is the 4th-order central difference of the
+    velocities plus Gamma(v, v) from ``oracle_geometry``; the
+    reparametrization inverts the cubic by bisection and applies the chain
+    rule, skipping samples where dt/ds < 1e-8."""
+    h, t_end, V = curve.times[1] - curve.times[0], curve.times[-1], curve.V
+    defects, worst = np.full(len(curve) - 4, np.nan), 0.0
+    for idx in range(2, len(curve) - 2):
+        chart = curve.charts[idx]
+        if set(curve.charts[idx - 2:idx + 3:2]) != {chart}:
+            continue
+        dv = (V[idx - 2] - 8 * V[idx - 1] + 8 * V[idx + 1] - V[idx + 2]) / (12 * h)
+        _, gamma = oracle_geometry(model.metric_fn(chart), curve.X[idx])
+        acc = dv + np.einsum("ijk,j,k->i", gamma, V[idx], V[idx])
+        J = model.j_matrix(chart)
+        defects[idx - 2] = wedge_defect(acc, V[idx], J)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = t_end * mid * mid * (3 - 2 * mid) < curve.times[idx]
+            lo, hi = (mid, hi) if below else (lo, mid)
+        s = 0.5 * (lo + hi)
+        td, tdd = t_end * (6 * s - 6 * s * s), t_end * (6 - 12 * s)
+        if abs(td) >= 1e-8:
+            worst = max(worst, wedge_defect(td * td * acc + tdd * V[idx], td * V[idx], J))
+    return defects, worst
+
+
+def pairing_drift(model, curve, other, stride):
+    """Max drift of g(v, other(idx)) over every stride-th sample and the
+    last, one sample at a time with the metric from ``oracle_geometry``."""
+    idxs = list(range(0, len(curve), stride))
+    if idxs[-1] != len(curve) - 1:
+        idxs.append(len(curve) - 1)
+    vals = [curve.V[idx] @ oracle_geometry(model.metric_fn(curve.charts[idx]), curve.X[idx])[0]
+            @ other(idx) for idx in idxs]
+    return max(abs(val - vals[0]) for val in vals)
 
 def rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu):
     """d/dt of a batch of fiber states (a, lambda, mu) along a curve with

@@ -281,7 +281,7 @@ def test_criterion_09_hplanar_curves(fs):
     curves, ladder = batch[:count], batch[count:]
     worst = max(line_deviation(fs, c, x0s[i], v0s[i])
                 for i, c in enumerate(curves))
-    ratio = rk4_order_ratio([c.points[-1].coords for c in ladder])
+    ratio = rk4_order_ratio([c.X[-1] for c in ladder])
     ok = worst < 1e-6 and 12.0 <= ratio <= 20.0
     _announce(9, "h-planar curves", ok,
               f"max line deviation {worst:.2e} < 1e-6, RK4 ratio {ratio:.1f} in [12, 20]",

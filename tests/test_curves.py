@@ -10,14 +10,15 @@ from kahlerlab.errors import (InvalidInputError, OutOfDomainError,
                               UnsupportedModelError)
 from kahlerlab.hproj import geom
 from kahlerlab.models import ChartPoint, flat_model, fubini_study, pullback_fs
-from oracles import oracle_geometry, projective_line_deviation
+from oracles import (curve_defects, oracle_geometry, pairing_drift,
+                     projective_line_deviation)
 
 
 def test_flat_straight_line(flat2):
     x0 = flat2.point([0.1, 0.2, -0.3, 0.4])
     v0 = np.array([0.3, -0.2, 0.5, 0.1])
     c = integrate_hplanar(flat2, x0, v0, 0.0, 0.0, 1.0, 1e-2)
-    assert np.max(np.abs(c.points[-1].coords - (x0.coords + v0))) < 1e-10
+    assert np.max(np.abs(c.X[-1] - (x0.coords + v0))) < 1e-10
     assert line_deviation(flat2, c, x0, v0) < 1e-10
 
 
@@ -48,16 +49,20 @@ def test_geodesics_are_planar_and_conserve_energy(fs2, rng):
     assert energy_drift(fs2, c) < 1e-8
 
 
+def _non_planar_curve(step=1e-3):
+    ts = np.arange(0, 1.0001, step)
+    X = np.stack([np.sin(ts), ts, 0.3 * np.cos(2 * ts), 0.1 * ts], axis=1)
+    V = np.stack([np.cos(ts), np.ones_like(ts), -0.6 * np.sin(2 * ts),
+                  np.full_like(ts, 0.1)], axis=1)
+    return CurveSample(ts, ["c0"] * len(ts), X, V)
+
+
 def test_non_planar_curve_detected(fs2):
-    ts = np.arange(0, 1.0001, 1e-3)
-    pts = [ChartPoint("c0", np.array([np.sin(t), t, 0.3 * np.cos(2 * t), 0.1 * t]))
-           for t in ts]
-    vels = [np.array([np.cos(t), 1.0, -0.6 * np.sin(2 * t), 0.1]) for t in ts]
-    bad = CurveSample(ts, pts, vels)
+    bad = _non_planar_curve()
     assert np.nanmax(hplanarity_defect(fs2, bad)) > 1e-3
-    assert line_deviation(fs2, bad, pts[0], vels[0]) > 1e-3
+    assert line_deviation(fs2, bad, ChartPoint("c0", bad.X[0]), bad.V[0]) > 1e-3
     passed, d1, d2 = reparametrization_invariance_check(fs2, bad)
-    assert passed and d1 > 1e-3 and d2 > 1e-3
+    assert passed and np.nanmax(d1) > 1e-3 and d2 > 1e-3
 
 
 def test_reparametrization_invariance_planar(fs2, rng):
@@ -65,12 +70,45 @@ def test_reparametrization_invariance_planar(fs2, rng):
     v0 = rng.uniform(-0.6, 0.6, 4)
     c = integrate_hplanar(fs2, x0, v0, 0.1, 0.4, 1.0, 1e-3)
     passed, d1, d2 = reparametrization_invariance_check(fs2, c)
-    assert passed and d1 < 1e-6 and d2 < 1e-6
+    assert passed and np.nanmax(d1) < 1e-6 and d2 < 1e-6
     line = integrate_hplanar(flat_model(2), flat_model(2).point([0.0] * 4),
                              np.array([1.0, 0, 0, 0]), 0.0, 0.0, 1.0, 1e-2)
     passed, d1, d2 = reparametrization_invariance_check(flat_model(2), line)
-    assert passed and d1 < 1e-8
+    assert passed and np.nanmax(d1) < 1e-8
 
+
+
+@pytest.mark.parametrize("case", ["chart_switch", "zero_velocity", "non_planar"])
+def test_whole_curve_checks_match_per_sample_reference(fs2, case):
+    # the defect, both maxima of the reparametrization check and the two
+    # pairing drifts against the one-sample-at-a-time reference: a curve
+    # whose stencils straddle a chart switch (NaN rows), one with a sample
+    # at v = 0 (defect 0), and a non-planar one
+    if case == "chart_switch":
+        c = integrate_hplanar(fs2, fs2.point([0.0] * 4), np.array([1.2, 0, 0, 0]),
+                              0.1, 0.3, 3.0, 1e-2)
+    else:
+        c = _non_planar_curve(5e-3)
+        if case == "zero_velocity":
+            c.V[100] = 0.0
+    ref, ref_worst = curve_defects(fs2, c)
+    got = hplanarity_defect(fs2, c)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.isnan(ref).any() == (case == "chart_switch")
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+    if case == "zero_velocity":
+        assert got[98] == ref[98] == 0.0
+    passed, base, worst = reparametrization_invariance_check(fs2, c)
+    assert np.array_equal(base, got, equal_nan=True)
+    assert worst == pytest.approx(ref_worst, rel=1e-9, abs=1e-12)
+    assert (np.nanmax(ref) > 1e-3) == (case != "chart_switch")
+    field = lambda pt: np.cos(pt.coords) * (1 + int(pt.chart[1:]))
+    for stride in (1, 7):
+        assert energy_drift(fs2, c, stride) == pytest.approx(
+            pairing_drift(fs2, c, lambda idx: c.V[idx], stride), rel=1e-9, abs=1e-12)
+        assert killing_integral_drift(fs2, c, field, stride) == pytest.approx(
+            pairing_drift(fs2, c, lambda idx: field(ChartPoint(c.charts[idx], c.X[idx])),
+                          stride), rel=1e-9, abs=1e-12)
 
 def _reference_integrate(model, x0, v0, alpha, beta, t_end, step):
     """Per-point RK4 loop with single-point geometry and chart switching,
@@ -122,12 +160,11 @@ def test_batch_switches_charts_per_curve(fs2, ga_diag):
             for b, curve in enumerate(batch):
                 charts, coords = _reference_integrate(model, x0s[b], v0s[b], alphas[b],
                                                       betas[b], t_ends[b], steps[b])
-                assert [p.chart for p in curve.points] == charts
-                got = np.stack([p.coords for p in curve.points])
-                assert np.max(np.abs(got - coords)) < 1e-12
+                assert list(curve.charts) == charts
+                assert np.max(np.abs(curve.X - coords)) < 1e-12
                 assert curve.times[-1] == pytest.approx(t_ends[b], abs=1e-12)
-            assert {p.chart for p in batch[0].points} == {"c0", "c1"}
-            assert {p.chart for p in batch[1].points} == {"c0"}
+            assert set(batch[0].charts) == {"c0", "c1"}
+            assert set(batch[1].charts) == {"c0"}
 
 
 def test_killing_integral_drift(fs2, pair_sol, rng):
@@ -147,7 +184,7 @@ def test_rk4_order(fs2, rng):
     ladder = integrate_hplanar_batch(fs2, [fs2.point([0.1, 0.0, -0.1, 0.2])] * k,
                                      [np.array([0.5, -0.3, 0.2, 0.4])] * k, [0.1] * k,
                                      [0.2] * k, ORDER_T_END, ORDER_STEPS)
-    ratio = rk4_order_ratio([c.points[-1].coords for c in ladder])
+    ratio = rk4_order_ratio([c.X[-1] for c in ladder])
     assert 12.0 <= ratio <= 20.0
 
 
@@ -164,7 +201,7 @@ def test_rk4_order_ratio_reads_the_ladder():
 def test_chart_switching_long_geodesic(fs2):
     c = integrate_hplanar(fs2, fs2.point([0.0] * 4), np.array([1.2, 0, 0, 0]),
                           0.0, 0.0, 3.0, 1e-3)
-    assert {p.chart for p in c.points} == {"c0", "c1"}
+    assert set(c.charts) == {"c0", "c1"}
     assert energy_drift(fs2, c) < 1e-8
 
 
@@ -179,27 +216,28 @@ def test_out_of_domain(flat2):
                                 [np.array([0.1, 0, 0, 0]), np.array([0, 30.0, 0, 0])],
                                 [0.0, 0.0], [0.0, 0.0], 1.0, 1e-2)
     last = err.value.last_sample
-    assert np.array_equal(last.velocities[0], [0, 30.0, 0, 0])
-    assert len(last) > 1 and last.points[-1].coords[1] > 0
+    assert np.array_equal(last.V[0], [0, 30.0, 0, 0])
+    assert len(last) > 1 and last.X[-1, 1] > 0
 
 
 def test_torus_wrapping_keeps_curve_inside(torus2):
     c = integrate_hplanar(torus2, torus2.point([0.0] * 4),
                           np.array([1.0, 0.3, 0.0, 0.0]), 0.0, 0.0, 2.0, 1e-2)
-    coords = np.stack([p.coords for p in c.points])
-    assert np.max(np.abs(coords)) <= 0.5 + 1e-12
+    assert np.max(np.abs(c.X)) <= 0.5 + 1e-12
 
 
 def test_line_deviation_unsupported_model(torus2):
     c = integrate_hplanar(torus2, torus2.point([0.0] * 4),
                           np.array([0.3, 0.0, 0.0, 0.0]), 0.0, 0.0, 1.0, 1e-2)
     with pytest.raises(UnsupportedModelError):
-        line_deviation(torus2, c, c.points[0], c.velocities[0])
+        line_deviation(torus2, c, ChartPoint(c.charts[0], c.X[0]), c.V[0])
 
 
 def test_curve_sample_validation_and_csv(tmp_path, flat2):
     with pytest.raises(InvalidInputError):
-        CurveSample([0.0, 0.0], [None, None], [None, None])
+        CurveSample([0.0, 0.0], ["c0"] * 2, np.zeros((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(InvalidInputError):
+        CurveSample([0.0, 1.0], ["c0"] * 2, np.zeros((2, 4)), np.zeros((3, 4)))
     c = integrate_hplanar(flat2, flat2.point([0.0] * 4),
                           np.array([1.0, 0, 0, 0]), 0.0, 0.0, 0.1, 1e-2)
     path = tmp_path / "curve.csv"
@@ -248,9 +286,8 @@ def test_line_deviation_matches_per_sample_lift(A, rng):
     # one-sample-at-a-time complex lift
     model = fubini_study(2) if A is None else pullback_fs(A)
     charts = ["c0", "c1", "c2"] * 5
-    curve = CurveSample(np.arange(len(charts)) * 0.1,
-                        [ChartPoint(c, rng.uniform(-1.5, 1.5, 4)) for c in charts],
-                        [np.zeros(4)] * len(charts))
+    curve = CurveSample(np.arange(len(charts)) * 0.1, charts,
+                        rng.uniform(-1.5, 1.5, (len(charts), 4)), np.zeros((len(charts), 4)))
     for x0 in (ChartPoint("c0", rng.uniform(-0.5, 0.5, 4)),
                ChartPoint("c2", rng.uniform(-0.5, 0.5, 4))):
         v0 = rng.uniform(-1.0, 1.0, 4)

@@ -325,7 +325,7 @@ def test_truncated_stream_is_not_stabilized(torus2):
 
 
 def test_basis_grid_and_certificate_start_at_the_base_point(fs2, rng):
-    cfg = MobilityConfig(step=2e-3, loop_side=0.2)
+    cfg = MobilityConfig(step=2e-3)
     base = fs2.point(np.array([0.15, -0.1, 0.05, 0.2]))
     report = degree_of_mobility(fs2, -0.25, base, cfg)
     assert report.base_point is base
@@ -373,7 +373,7 @@ def test_canonical_basis_depends_on_the_subspace_only(rng):
 
 def test_mobility_fs_off_origin_base(fs2):
     # the estimate must not depend on the base point
-    cfg = MobilityConfig(step=2e-3, loop_side=0.2)
+    cfg = MobilityConfig(step=2e-3)
     base = fs2.point(np.array([0.15, -0.1, 0.05, 0.2]))
     report = degree_of_mobility(fs2, -0.25, base, cfg)
     assert report.dimension == 9
@@ -383,7 +383,7 @@ def test_mobility_fs_off_origin_base(fs2):
 def test_mobility_pullback_model(ga_diag, rng):
     # the pullback metric is isometric to the projective one (pullback by a
     # biholomorphism), so it has the same constant and the same full kernel
-    cfg = MobilityConfig(step=2e-3, loop_side=0.2)
+    cfg = MobilityConfig(step=2e-3)
     report = degree_of_mobility(ga_diag, -0.25, ga_diag.point(np.zeros(4)), cfg)
     assert report.dimension == 9
     _assert_certified(ga_diag, report, rng)
@@ -413,7 +413,7 @@ def test_mobility_cp3_attains_fiber_bound(rng):
     # dimension-independence of the rank procedure: (n+1)^2 = 16 on CP(3)
     from kahlerlab.models import fubini_study
     fs3 = fubini_study(3)
-    cfg = MobilityConfig(step=4e-3, loop_side=0.25, n_transport_points=2)
+    cfg = MobilityConfig(step=4e-3)
     report = degree_of_mobility(fs3, -0.25, fs3.point(np.zeros(6)), cfg)
     assert report.dimension == 16
     _assert_certified(fs3, report, rng)
@@ -513,10 +513,10 @@ def test_mobility_product_with_curved_factor(name, rng):
     model = _fs_products()[name]
     B = -0.25
     base = model.point(np.zeros(8))
-    cfg = MobilityConfig(step=5e-3, loop_side=0.2, n_transport_points=2)
+    cfg = MobilityConfig(step=5e-3)
     report = degree_of_mobility(model, B, base, cfg)
     assert report.dimension == 1
-    # the stop rule fires at the fifth of 31 batches
+    # the stop rule fires at the fifth of 33 batches
     assert report.stabilized and report.constraint_history == [15, 19, 24, 24, 24]
     K = _packed(report.basis)
     v = _packed([ProlongedState(model.metric_at(base), np.zeros(8), -B)])[0]
@@ -548,8 +548,7 @@ def test_full_batch_queue_keeps_the_early_stopped_kernel(name, B, dim, fs2, toru
     # queue, stacked and cut by the same rule, has the reported rank, and
     # every batch of it leaves the reported basis
     model = {"fs2": fs2, "torus2": torus2, "fs_x_flat": _fs_products()["fs_x_flat"]}[name]
-    cfg = (MobilityConfig(step=5e-3, loop_side=0.2, n_transport_points=2)
-           if name == "fs_x_flat" else MobilityConfig())
+    cfg = MobilityConfig(step=5e-3) if name == "fs_x_flat" else MobilityConfig()
     base = model.point(np.zeros(model.dim))
     report = degree_of_mobility(model, B, base, cfg)
     assert report.dimension == dim

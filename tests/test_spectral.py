@@ -135,8 +135,6 @@ def test_minimal_poly_ambiguity_warning():
     mp = minimal_poly(m, tol=1e-6)
     assert mp.warning is not None and "10x" in mp.warning
     assert mp.ambiguous
-    assert mp.alternative is not None
-    assert len(mp.alternative) < len(mp.coefficients)  # merged candidate
     # cleanly separated spectrum carries no warning
     clean = minimal_poly(np.diag([0.0, 0.5, 1.0, 1.0]))
     assert clean.warning is None and not clean.ambiguous
