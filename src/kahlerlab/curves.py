@@ -63,14 +63,6 @@ class CurveSample:
                 w.writerow(row)
 
 
-def as_coefficient(c):
-    """Coefficient functions of t; numbers are promoted to constants."""
-    if callable(c):
-        return c
-    val = float(c)
-    return lambda t: val
-
-
 def integrate_hplanar(model, x0: ChartPoint, v0, alpha=0.0, beta=0.0, t_end=1.0, step=1e-3):
     """RK4 integration of the planar-curve ODE from (x0, v0): a batch of one
     (see ``integrate_hplanar_batch``)."""
@@ -83,10 +75,12 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
     ``t_end`` and ``step`` are one value, or one per curve: a curve ticks at
     its own step and drops out after ceil(t_end / step) steps.  Each RK4
     stage evaluates the geometry in one batched call per chart that holds
-    ticking curves.  After every step a curve on a torus is wrapped into the
-    fundamental domain; elsewhere a curve that leaves the MARGIN-shrunk box
-    of its chart is re-charted through the transition maps.  If no chart
-    covers it, an out-of-domain error carrying its last valid sample is raised.
+    ticking curves.  An alpha or beta is a number, read from one array of
+    them, or a function of t, called once per stage.  After every step a
+    curve on a torus is wrapped into the fundamental domain; elsewhere a
+    curve that leaves the MARGIN-shrunk box of its chart is re-charted
+    through the transition maps.  If no chart covers it, an out-of-domain
+    error carrying its last valid sample is raised.
     """
     nb = len(x0s)
     if nb == 0:
@@ -103,8 +97,10 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
         raise InvalidInputError("initial velocity must be nonzero")
     X = np.stack([p.coords for p in x0s]).astype(float)
     charts = np.array([p.chart for p in x0s], dtype=object)
-    alphas = [as_coefficient(a) for a in alphas]
-    betas = [as_coefficient(b) for b in betas]
+    # row 0 alpha, row 1 beta: the numbers, and a 0 where a function of t goes
+    coefs = np.array([[0.0 if callable(c) else float(c) for c in cs] for cs in (alphas, betas)])
+    calls = [(k, b, c) for k, cs in enumerate((alphas, betas)) for b, c in enumerate(cs)
+             if callable(c)]
     nsteps = np.ceil(t_ends / steps).astype(int)
     # row k holds every curve after its k-th step (a curve done ticking stays put)
     hist_c = np.empty((int(np.max(nsteps)) + 1, nb), dtype=object)
@@ -121,13 +117,13 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
 
     def f(c, y):
         XX, VV = y
-        ts = t + c * h[:, 0]
+        for k, i, fn in live:
+            ab[k, i] = fn(t[i] + c * h[i, 0])
         out = np.empty_like(VV)
         for chart, idx in groups:
             _, GAM = _geo_floats_batch(model, chart, XX[idx])
             Vc = VV[idx]
-            al = np.array([alphas[b](tb) for b, tb in zip(act[idx], ts[idx])])
-            be = np.array([betas[b](tb) for b, tb in zip(act[idx], ts[idx])])
+            al, be = ab[:, idx]
             out[idx] = (-np.einsum("bijk,bj,bk->bi", GAM, Vc, Vc)
                         + al[:, None] * Vc
                         + be[:, None] * (Vc @ model.j_matrix(chart).T))
@@ -137,6 +133,8 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
         act = np.flatnonzero(nsteps > s)
         t = s * steps[act]
         h = np.minimum(steps[act], t_ends[act] - t)[:, None]
+        ab = coefs[:, act]
+        live = [(k, np.searchsorted(act, b), fn) for k, b, fn in calls if nsteps[b] > s]
         groups = [(c, np.flatnonzero(charts[act] == c)) for c in np.unique(charts[act])]
         X[act], V[act] = rk4_step(f, (X[act], V[act]), h)
         for chart, idx in groups:
@@ -199,17 +197,21 @@ def _geometry_along(model, curve, idxs):
 
 def _accelerations(model, curve):
     """Covariant accelerations dv/dt + Gamma(v, v) at samples 2..len-3, with
-    dv/dt from a 4th-order central difference (independent of the
-    integrator's own right-hand side); NaN rows where the stencil straddles
-    a chart switch."""
+    dv/dt from a 4th-order central difference at the first spacing h
+    (independent of the integrator's own right-hand side).  NaN rows where
+    the stencil straddles a chart switch, or where one of its four spacings
+    is not h up to the rounding of the times, as at the shorter last step of
+    a curve whose end time is not a multiple of its step."""
     if len(curve) < 5:
         raise InvalidInputError("defect needs at least 5 samples")
-    V, charts = curve.V, curve.charts
-    h = float(curve.times[1] - curve.times[0])
+    V, charts, times = curve.V, curve.charts, curve.times
+    h = float(times[1] - times[0])
     dv = (V[:-4] - 8 * V[1:-3] + 8 * V[3:-1] - V[4:]) / (12 * h)
     _, gammas = _geometry_along(model, curve, np.arange(2, len(curve) - 2))
     acc = dv + np.einsum("bijk,bj,bk->bi", gammas, V[2:-2], V[2:-2])
-    acc[(charts[:-4] != charts[2:-2]) | (charts[4:] != charts[2:-2])] = np.nan
+    uneven = np.abs(np.diff(times) - h) > 16 * np.finfo(float).eps * np.max(np.abs(times))
+    acc[(charts[:-4] != charts[2:-2]) | (charts[4:] != charts[2:-2])
+        | uneven[:-3] | uneven[1:-2] | uneven[2:-1] | uneven[3:]] = np.nan
     return acc
 
 

@@ -32,8 +32,8 @@ _LETTERS = "abcdefgh"
 
 def _first_kind(dg):
     """lower[..., a, j, k] = d_j g_ak + d_k g_aj - d_a g_jk from
-    dg[..., i, j, k] = d_k g_ij, over any leading axes."""
-    return np.einsum("...akj->...ajk", dg) + dg - np.einsum("...jka->...ajk", dg)
+    dg[..., i, j, k] = d_k g_ij, over any leading axes: two axis views of dg."""
+    return dg.swapaxes(-1, -2) + dg - dg.transpose(*range(dg.ndim - 3), -1, -3, -2)
 
 
 def christoffels(g, dg):

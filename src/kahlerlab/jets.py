@@ -18,6 +18,17 @@ and determinants enter as log-determinants, log|det A_0| plus the series of
 tr(N^k) for the nilpotent N = A_0^-1 (A - A_0) (Griewank & Walther,
 *Evaluating Derivatives*, 2008; Neidinger, SIAM Review 52, 2010).
 
+At order 1 a jet is a value and a gradient, and the same operations are
+written without the table: a product is a_0 b_0 and a_0 b_k + a_k b_0, which
+equals the table's two-term sum bit for bit; an inverse is X_0 and
+-X_0 A_k X_0, which can differ from the recurrence only in the sign of an
+exact zero; the first partials are the degree-1 coefficients, transposed.
+
+Coordinates enter as one seeding array: ``Jet.variables`` gives the scalar
+coordinate jets at a batch of points as views of one read-only
+(ncoef, *batch, nvars) array, which the list it returns also holds as a
+single jet, so a metric function need not stack them again.
+
 Solution fields are written against plain scalar arithmetic
 (``+ - * /``), so the same code runs on floats, on numpy arrays (batched
 evaluation) and on Jets (derivative evaluation).  Model metric functions
@@ -144,12 +155,22 @@ class Jet:
         return Jet(space, coef)
 
     @staticmethod
-    def variable(space, value, var):
-        j = Jet.constant(space, value)
+    def variables(space, X):
+        """The ``nvars`` scalar coordinate jets at the points X (*batch,
+        nvars): value X[..., i] and the unit gradient of variable i, as the
+        views [..., i] of one read-only (ncoef, *batch, nvars) array."""
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1:] != (space.nvars,):
+            raise InvalidInputError(f"points of shape {X.shape} are not in {space.nvars} variables")
+        coef = np.zeros((space.ncoef,) + X.shape)
+        coef[0] = X
         if space.order >= 1:
-            e = tuple(1 if k == var else 0 for k in range(space.nvars))
-            j.coef[space.index[e]] = 1.0
-        return j
+            var = np.arange(space.nvars)
+            coef[var + 1, ..., var] = 1.0      # e_i is coefficient 1 + i
+        coef.flags.writeable = False
+        out = Variables([Jet(space, coef[..., i]) for i in range(space.nvars)])
+        out.stacked = Jet(space, coef)
+        return out
 
     @property
     def const(self):
@@ -195,6 +216,9 @@ class Jet:
         """
         if r > self.space.order:
             raise InvalidInputError(f"jet of order {self.space.order} has no order-{r} partials")
+        if r == 1:   # coefficients 1..nvars, of degree 1 and alpha! = 1
+            ndim = self.coef.ndim
+            return self.coef[1:self.space.nvars + 1].transpose(tuple(range(1, ndim)) + (0,))
         idx, fac = self.space.partial_index(r)
         # coef has shape (ncoef, *payload); fancy-index the leading axis,
         # then move the derivative axes behind the payload.
@@ -208,9 +232,10 @@ class Jet:
             a, b = _match(self, other)
             return Jet(a.space, a.coef + b.coef)
         other = np.asarray(other, dtype=float)
-        shape = np.broadcast_shapes(self.payload_shape, other.shape)
-        coef = np.broadcast_to(self.coef, (self.space.ncoef,) + shape).copy()
-        coef[0] = coef[0] + other
+        shape = np.broadcast(self.coef[0], other).shape
+        coef = (self.coef if shape == self.payload_shape
+                else np.broadcast_to(self.coef, (self.space.ncoef,) + shape)).copy()
+        coef[0] += other
         return Jet(self.space, coef)
 
     __radd__ = __add__
@@ -219,7 +244,10 @@ class Jet:
         return Jet(self.space, -self.coef)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other, dtype=float))
+        if isinstance(other, Jet):
+            a, b = _match(self, other)
+            return Jet(a.space, a.coef - b.coef)
+        return self + -np.asarray(other, dtype=float)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -228,8 +256,12 @@ class Jet:
         if isinstance(other, Jet):
             a, b = _match(self, other)
             s = a.space
-            prods = a.coef[s._mia] * b.coef[s._mib]
-            return Jet(s, np.add.reduceat(prods, s._seg, axis=0))
+            if s.order > 1:
+                prods = a.coef[s._mia] * b.coef[s._mib]
+                return Jet(s, np.add.reduceat(prods, s._seg, axis=0))
+            coef = a.coef * b.coef[0]               # a_0 b_0 and a_k b_0
+            coef[1:] += a.coef[0] * b.coef[1:]      # + a_0 b_k
+            return Jet(s, coef)
         return Jet(self.space, self.coef * np.asarray(other, dtype=float))
 
     __rmul__ = __mul__
@@ -237,7 +269,7 @@ class Jet:
     def reciprocal(self):
         """1/self by the degree recurrence (see the module docstring)."""
         c0 = self.coef[0]
-        if np.any(np.abs(c0) < 1e-300):
+        if (np.abs(c0) < 1e-300).any():
             raise ZeroDivisionError("jet reciprocal at vanishing value")
         return Jet(self.space, _inverse_coef(self, 1.0 / c0, np.multiply))
 
@@ -260,13 +292,24 @@ class Jet:
         return acc * np.exp(c0)
 
 
+class Variables(list):
+    """The scalar coordinate jets of ``Jet.variables``, in order, and as
+    ``stacked`` the jet of their seeding array, payload (*batch, nvars).  A
+    slice is a plain list of the same jets."""
+    __slots__ = ("stacked",)
+
+
 def _inverse_coef(a, x0, mul):
     """Coefficients of the inverse X of A under ``mul``, given X_0 = A_0^-1,
     one degree at a time by one product and one segmented sum.  The term
-    A_0 X_c in the segment of c adds nothing: X_c is still zero then."""
+    A_0 X_c in the segment of c adds nothing: X_c is still zero then, so at
+    order 1 the recurrence is X_k = -X_0 A_k X_0."""
     s = a.space
     x = np.zeros(a.coef.shape)
     x[0] = x0
+    if s.order == 1:
+        x[1:] = -mul(x0, mul(a.coef[1:], x0))
+        return x
     for cs, ps, starts in s._by_degree:
         terms = mul(a.coef[s._mia[ps]], x[s._mib[ps]])
         x[cs] = -mul(x0, np.add.reduceat(terms, starts, axis=0))
@@ -313,8 +356,7 @@ def jet_eval(fn, x0, order):
     structure.
     """
     space = jet_space(len(x0), order)
-    out = fn([Jet.variable(space, x, i) for i, x in enumerate(x0)])
-    return jet_pack(space, out)
+    return jet_pack(space, fn(Jet.variables(space, x0)))
 
 
 # -- contractions on jet-valued tensors ----------------------------------

@@ -198,8 +198,12 @@ def _realify(a):
 
 
 def _coordinate_jet(xs):
-    """The d chart coordinates as one jet with payload (..., d); floats
-    become an order-0 jet."""
+    """The d chart coordinates as one jet with payload (..., d): the seeding
+    jet of ``Jet.variables``, or a stack of other scalar jets; floats become
+    an order-0 jet."""
+    stacked = getattr(xs, "stacked", None)
+    if stacked is not None:
+        return stacked
     if isinstance(xs[0], Jet):
         return Jet(xs[0].space, np.stack([x.coef for x in xs], axis=-1))
     return Jet(jet_space(len(xs), 0), np.asarray(xs, dtype=float)[None])

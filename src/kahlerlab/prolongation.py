@@ -196,8 +196,7 @@ def _geo_floats_batch(model, chart, X):
     back as an array and has Gamma = 0.
     """
     B_, d = X.shape
-    space = jet_space(d, 1)
-    gjet = model.metric_fn(chart)([Jet.variable(space, X[:, i], i) for i in range(d)])
+    gjet = model.metric_fn(chart)(Jet.variables(jet_space(d, 1), X))
     if not isinstance(gjet, Jet):
         return (np.broadcast_to(gjet, (B_, d, d)),
                 np.broadcast_to(np.zeros((d, d, d)), (B_, d, d, d)))

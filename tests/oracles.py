@@ -13,7 +13,11 @@ jets and return nested lists, so ``jet_eval`` gives their exact jets.
 The connection reference is the closed-form complex Christoffel symbol of
 the projective metric, the same in every affine chart:
 
-    Gamma^i_jk = -(delta^i_j conj(z_k) + delta^i_k conj(z_j)) / (1 + |z|^2).
+    Gamma^i_jk = -(delta^i_j conj(z_k) + delta^i_k conj(z_j)) / (1 + |z|^2),
+
+and that of a pullback is its transform under the holomorphic chart map u
+of the linear map, Gamma = Du^-1 (Gamma_FS(u)(Du ., Du .) + D^2 u), with Du
+and D^2 u written out from the complex derivatives of u.
 
 The float connection and curvature references work from the metric and its
 partials at one point: Gamma from the first-kind symbols raised with g^-1,
@@ -42,6 +46,8 @@ The jet-arithmetic references build the Leibniz pairs of a jet space from its
 exponent dict in a double loop and add the terms up with ``np.add.at``;
 inverses come from Newton's iteration X <- X (2 - A X), and determinants
 from LU with partial pivoting on the value part, over those products.
+``padded`` lifts a jet to a higher order, so that the package's table
+recurrence can be run on an order-1 jet and compared with its order-1 case.
 
 ``CNum`` is a complex number over generic real scalars (floats, arrays or
 jets), so complex chart formulas run on jets.  ``fd_gradient`` and
@@ -296,6 +302,42 @@ def fs_christoffel_oracle(x):
     return out
 
 
+def pullback_christoffel_oracle(A, chart_index, x):
+    """Real Gamma[i, j, k] of the pullback of the projective metric under A
+    at affine coordinates x of chart ``chart_index``, by the transformation
+    law of the connection under the local isometry x -> u, where u is the
+    image w = A hom(z) in the affine chart of its largest slot t:
+
+        Gamma = Du^-1 (Gamma_FS(u)(Du ., Du .) + D^2 u).
+
+    u is holomorphic, so its real partials are its complex ones, times i
+    along each y axis: du_m/dz_l = (A_ml - u_m A_tl) / w_t, and
+    d^2 u_m / dz_j dz_k = -(du_m/dz_k A_tj + du_m/dz_j A_tk) / w_t."""
+    n = len(A) - 1
+    z = np.asarray(x[0::2]) + 1j * np.asarray(x[1::2])
+    w = A @ np.insert(z, chart_index, 1.0)
+    t = int(np.argmax(np.abs(w)))
+    rows = [m for m in range(n + 1) if m != t]
+    cols = [l for l in range(n + 1) if l != chart_index]
+    u, at = w[rows] / w[t], A[t, cols]
+    D = (A[np.ix_(rows, cols)] - np.outer(u, at)) / w[t]
+    D2 = -(np.einsum("mk,j->mjk", D, at) + np.einsum("mj,k->mjk", D, at)) / w[t]
+    axis = np.tile([1.0, 1j], n)              # d/dx_l = d/dz_l, d/dy_l = i d/dz_l
+    var = np.repeat(np.arange(n), 2)
+    Dc = D[:, var] * axis
+    D2c = D2[:, var][:, :, var] * np.outer(axis, axis)
+
+    def real(c):                              # complex rows -> interleaved (re, im) rows
+        out = np.empty((2 * n,) + c.shape[1:])
+        out[0::2], out[1::2] = c.real, c.imag
+        return out
+
+    Du, D2u = real(Dc), real(D2c)
+    gfs = fs_christoffel_oracle(real(u[:, None])[:, 0])
+    T = np.einsum("abc,bj,ck->ajk", gfs, Du, Du) + D2u
+    return np.linalg.solve(Du, T.reshape(2 * n, -1)).reshape(T.shape)
+
+
 def projective_line_deviation(curve, x0, v0):
     """Per-sample distance of a curve in CP(n) from the complex line of its
     initial data: each sample on its own is lifted to normalized homogeneous
@@ -461,6 +503,18 @@ def jet_einsum_add_at(subscripts, a, b):
 
 def jet_mul_add_at(a, b):
     return jet_einsum_add_at("...,...->...", a, b)
+
+
+def padded(a, order):
+    """The jet ``a`` in the space of a higher order, its new coefficients
+    zero.  The table recurrence of an inverse reaches degree k only through
+    degrees below k, so the inverse of the padded jet, truncated back, is
+    that recurrence at a's own order, even where the package writes the
+    order-1 case without the table."""
+    space = jet_space(a.space.nvars, order)
+    coef = np.zeros((space.ncoef,) + a.payload_shape)
+    coef[:a.space.ncoef] = a.coef
+    return Jet(space, coef)
 
 
 def _newton_steps(space):

@@ -57,6 +57,23 @@ def _non_planar_curve(step=1e-3):
     return CurveSample(ts, ["c0"] * len(ts), X, V)
 
 
+@pytest.mark.parametrize("step", [1e-3, 3e-3, 7e-3])
+def test_accelerations_skip_the_shorter_last_step(fs2, step):
+    # t_end = 1 is not a multiple of 3e-3 or 7e-3: the last step is shorter
+    # (1e-3, 6e-3), and no stencil across it has one spacing.  Every other
+    # covariant acceleration is the right-hand side alpha v + beta J v.
+    from kahlerlab.curves import _accelerations
+    x0 = fs2.point([0.1, -0.2, 0.05, 0.15])
+    c = integrate_hplanar(fs2, x0, [0.3, 0.1, -0.2, 0.4], 0.2, -0.3, t_end=1.0, step=step)
+    acc = _accelerations(fs2, c)
+    V = c.V[2:-2]
+    err = np.linalg.norm(acc - (0.2 * V - 0.3 * V @ fs2.j_matrix().T), axis=1)
+    even = np.abs(np.diff(c.times) - step) < 1e-12
+    assert np.array_equal(np.isnan(err), ~(even[:-3] & even[1:-2] & even[2:-1] & even[3:]))
+    assert np.isnan(err[-1]) == (step != 1e-3)
+    assert np.nanmax(err) < 1e-7
+
+
 def test_non_planar_curve_detected(fs2):
     bad = _non_planar_curve()
     assert np.nanmax(hplanarity_defect(fs2, bad)) > 1e-3

@@ -8,7 +8,8 @@ from kahlerlab.jets import (Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_in
                             jet_space)
 
 from oracles import (CNum, fd_gradient, fd_hessian, generic_det, jet_einsum_add_at,
-                     jet_mul_add_at, log_abs, newton_matrix_inverse, newton_reciprocal)
+                     jet_mul_add_at, log_abs, newton_matrix_inverse, newton_reciprocal,
+                     padded)
 
 
 def f_rational(xs):
@@ -198,3 +199,86 @@ def test_error_paths():
         j.derivatives(2)
     with pytest.raises(InvalidInputError):
         j.truncate(3)
+
+
+def _order1(rng, shape, zeros=False):
+    """A random jet of order 1 in 4 variables with payload ``shape``; with
+    ``zeros``, a third of its coefficients are exact zeros of either sign."""
+    space = jet_space(4, 1)
+    coef = rng.normal(size=(space.ncoef,) + shape)
+    if zeros:
+        pick = rng.random(coef.shape)
+        coef[pick < 1 / 3] = 0.0
+        coef[pick < 1 / 6] = -0.0
+    return Jet(space, coef)
+
+
+# (payload of a, payload of b): scalars, an outer product that broadcasts,
+# and a matrix times a scalar jet of each matrix's batch
+ORDER1_PAYLOADS = [((), ()), ((6, 4, 1), (6, 1, 4)), ((3, 4, 4), (3, 1, 1))]
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "exact-zeros"])
+@pytest.mark.parametrize("pa,pb", ORDER1_PAYLOADS, ids=["scalar", "broadcast", "matrix-scalar"])
+def test_order1_product_equals_the_leibniz_reference(pa, pb, zeros):
+    # a_0 b_0 and a_0 b_k + a_k b_0, bit for bit: a two-term float sum does
+    # not depend on its order
+    rng = np.random.default_rng(len(pa) + 10 * zeros)
+    a, b = _order1(rng, pa, zeros), _order1(rng, pb, zeros)
+    assert np.array_equal((a * b).coef, jet_mul_add_at(a, b).coef)
+    assert np.array_equal((b * a).coef, jet_mul_add_at(b, a).coef)
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "exact-zeros"])
+@pytest.mark.parametrize("shape", [(), (6,), (3, 4, 4)], ids=["scalar", "batch", "matrix"])
+def test_order1_inverses_equal_the_table_recurrence(shape, zeros):
+    rng = np.random.default_rng(len(shape) + 10 * zeros)
+    a = _order1(rng, shape, zeros)
+    a.coef[0] = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    if shape[-2:] == (4, 4):
+        a.coef[0] += 3.0 * np.eye(4)
+        ref = jet_matrix_inverse(padded(a, 2)).truncate(1)
+        assert np.array_equal(jet_matrix_inverse(a).coef, ref.coef)
+    ref = padded(a, 2).reciprocal().truncate(1)
+    assert np.array_equal(a.reciprocal().coef, ref.coef)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_order1_sum_difference_and_partials(order, rng):
+    space = jet_space(4, order)
+    a = Jet(space, rng.normal(size=(space.ncoef, 5, 3)))
+    b = Jet(space, rng.normal(size=(space.ncoef, 5, 3)))
+    assert np.array_equal((a - b).coef, (a + -b).coef)
+    c = rng.normal(size=(5, 3))
+    for other in (c, c[0], 2.5):
+        ref = np.broadcast_to(a.coef, a.coef.shape).copy()
+        ref[0] = ref[0] + other
+        assert np.array_equal((a + other).coef, ref)
+    narrow = a[:, None]                          # payload (5, 1, 3) grows to (5, 4, 3)
+    wide = narrow + c[:4]
+    assert wide.payload_shape == (5, 4, 3)
+    assert np.array_equal(wide.const, narrow.const + c[:4])
+    assert np.array_equal(wide.coef[1:], np.broadcast_to(narrow.coef[1:], wide.coef[1:].shape))
+    assert np.array_equal(a.derivatives(1), a.gradient().const)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (2, 3, 4)])
+def test_variables_are_views_of_one_read_only_seeding_array(order, shape, rng):
+    space = jet_space(4, order)
+    X = rng.uniform(-1.0, 1.0, shape)
+    xs = Jet.variables(space, X)
+    assert len(xs) == 4 and xs.stacked.coef.shape == (space.ncoef,) + shape
+    for i, x in enumerate(xs):
+        ref = Jet.constant(space, X[..., i])     # one variable at a time
+        if order >= 1:
+            ref.coef[space.index[tuple(int(k == i) for k in range(4))]] = 1.0
+        assert np.array_equal(x.coef, ref.coef)
+        assert np.shares_memory(x.coef, xs.stacked.coef)
+        assert not x.coef.flags.writeable
+    assert np.array_equal(xs.stacked.coef, np.stack([x.coef for x in xs], axis=-1))
+    with pytest.raises(ValueError):
+        xs.stacked.coef[0] = 0.0
+    assert type(xs[1:3]) is list                 # a slice is plain scalars
+    with pytest.raises(InvalidInputError):
+        Jet.variables(space, X[..., :3])

@@ -13,7 +13,8 @@ from kahlerlab.models import (Chart, ChartPoint, complex_matrix_from_pairs,
                               model_from_descriptor, product_model,
                               pullback_fs, rescale_model)
 from conftest import passed
-from oracles import fd_gradient, fs_christoffel_oracle, pullback_metric_oracle
+from oracles import (fd_gradient, fs_christoffel_oracle, pullback_christoffel_oracle,
+                     pullback_metric_oracle)
 
 
 def test_chart_invariants():
@@ -306,3 +307,27 @@ def test_fs_connection_matches_closed_form(n):
         _, GAM = _geo_floats_batch(fs, chart, X)
         for b in range(len(X)):
             assert np.max(np.abs(GAM[b] - fs_christoffel_oracle(X[b]))) < 1e-12
+
+
+def _pullback_cases():
+    rng = np.random.default_rng(30)
+    cases = [pytest.param(n, np.diag([2.0] + [1.0] * n).astype(complex), id=f"diag21-n{n}")
+             for n in (2, 3, 4)]
+    cases += [pytest.param(n, rng.normal(size=(n + 1, n + 1))
+                           + 1j * rng.normal(size=(n + 1, n + 1)), id=f"random-n{n}")
+              for n in (2, 3, 4)]
+    return cases
+
+
+@pytest.mark.parametrize("n,A", _pullback_cases())
+def test_pullback_connection_matches_the_transformation_law(n, A):
+    # the batched order-1 geometry of a pullback against the projective
+    # connection carried through the chart map of A, with no jets
+    from kahlerlab.prolongation import _geo_floats_batch
+    model = pullback_fs(A)
+    X = np.random.default_rng(50 + n).uniform(-0.5, 0.5, size=(15, 2 * n))
+    for chart in ("c0", "c1"):
+        _, GAM = _geo_floats_batch(model, chart, X)
+        for b in range(len(X)):
+            ref = pullback_christoffel_oracle(A, int(chart[1:]), X[b])
+            assert np.max(np.abs(GAM[b] - ref)) < 1e-12

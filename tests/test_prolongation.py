@@ -440,6 +440,27 @@ def test_batched_geometry_matches_pointwise(fs2, rng):
         assert np.max(np.abs(GAM[b] - gamma)) < 1e-13
 
 
+def test_batched_geometry_python_call_budget(ga_diag, rng):
+    # one order-1 geometry evaluation is a fixed count of Python-level calls
+    # (package and numpy wrappers alike), whatever the number of points: 146
+    # before the order-1 jet kernels and the seeding array, with numpy 2.4
+    import sys
+    X = rng.uniform(-0.5, 0.5, size=(15, 4))
+    prolongation._geo_floats_batch(ga_diag, "c0", X)    # jet spaces built
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        prolongation._geo_floats_batch(ga_diag, "c0", X)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 100, sorted(calls)
+
+
 def test_int_cond_rows_match_residual_operator(fs2, pair_sol, rng):
     from kahlerlab.prolongation import _int_cond_rows
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
