@@ -160,8 +160,6 @@ class Jet:
         nvars): value X[..., i] and the unit gradient of variable i, as the
         views [..., i] of one read-only (ncoef, *batch, nvars) array."""
         X = np.asarray(X, dtype=float)
-        if X.shape[-1:] != (space.nvars,):
-            raise InvalidInputError(f"points of shape {X.shape} are not in {space.nvars} variables")
         coef = np.zeros((space.ncoef,) + X.shape)
         coef[0] = X
         if space.order >= 1:

@@ -280,5 +280,3 @@ def test_variables_are_views_of_one_read_only_seeding_array(order, shape, rng):
     with pytest.raises(ValueError):
         xs.stacked.coef[0] = 0.0
     assert type(xs[1:3]) is list                 # a slice is plain scalars
-    with pytest.raises(InvalidInputError):
-        Jet.variables(space, X[..., :3])
