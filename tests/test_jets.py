@@ -244,14 +244,14 @@ def test_order1_inverses_equal_the_table_recurrence(shape, zeros):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_order1_sum_difference_and_partials(order, rng):
+def test_sum_difference_and_first_partials(order, rng):
     space = jet_space(4, order)
     a = Jet(space, rng.normal(size=(space.ncoef, 5, 3)))
     b = Jet(space, rng.normal(size=(space.ncoef, 5, 3)))
     assert np.array_equal((a - b).coef, (a + -b).coef)
     c = rng.normal(size=(5, 3))
     for other in (c, c[0], 2.5):
-        ref = np.broadcast_to(a.coef, a.coef.shape).copy()
+        ref = a.coef.copy()
         ref[0] = ref[0] + other
         assert np.array_equal((a + other).coef, ref)
     narrow = a[:, None]                          # payload (5, 1, 3) grows to (5, 4, 3)

@@ -442,8 +442,8 @@ def test_batched_geometry_matches_pointwise(fs2, rng):
 
 def test_batched_geometry_python_call_budget(ga_diag, rng):
     # one order-1 geometry evaluation is a fixed count of Python-level calls
-    # (package and numpy wrappers alike), whatever the number of points: 146
-    # before the order-1 jet kernels and the seeding array, with numpy 2.4
+    # (package and numpy wrappers alike), whatever the number of points; the
+    # table product and per-variable seeding made 146 of them (numpy 2.4)
     import sys
     X = rng.uniform(-0.5, 0.5, size=(15, 4))
     prolongation._geo_floats_batch(ga_diag, "c0", X)    # jet spaces built
