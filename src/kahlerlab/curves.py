@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OutOfDomainError, UnsupportedModelError
 from .models import ChartPoint, homogeneous_map, standard_J
-from .prolongation import _geo_floats_batch, rk4_step
+from .prolongation import _geo_floats_batch
 
 MARGIN = 0.05   # the integrator re-charts a curve this close to its chart's edge
 # The order check's ladder, finest first: every step its round-off fallback reaches.
@@ -61,6 +61,20 @@ class CurveSample:
                        + [f"{c:.17g}" for c in self.V[idx]])
                 row += [f"{extras[k][idx]:.6e}" for k in extras]
                 w.writerow(row)
+
+
+def rk4_step(f, y, h):
+    """One classical RK4 step of y' = f(c, y) for a tuple of arrays y.
+
+    ``c`` is the stage's offset within the step as a fraction of h: 0, 1/2
+    or 1.
+    """
+    k1 = f(0.0, y)
+    k2 = f(0.5, tuple(u + h / 2 * k for u, k in zip(y, k1)))
+    k3 = f(0.5, tuple(u + h / 2 * k for u, k in zip(y, k2)))
+    k4 = f(1.0, tuple(u + h * k for u, k in zip(y, k3)))
+    return tuple(u + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                 for u, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
 
 
 def integrate_hplanar(model, x0: ChartPoint, v0, alpha=0.0, beta=0.0, t_end=1.0, step=1e-3):
@@ -129,13 +143,19 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
                         + be[:, None] * (Vc @ model.j_matrix(chart).T))
         return VV, out
 
+    drop = 0            # the next tick at which a curve drops out
     for s in range(int(np.max(nsteps))):
-        act = np.flatnonzero(nsteps > s)
+        if s == drop:       # the ticking curves, their numbers and callables
+            act = np.flatnonzero(nsteps > s)
+            drop = np.min(nsteps[act])
+            ab = coefs[:, act]
+            live = [(k, np.searchsorted(act, b), fn) for k, b, fn in calls if nsteps[b] > s]
+            regroup = True
+        if regroup:         # after a curve dropped out or changed chart
+            groups = [(c, np.flatnonzero(charts[act] == c)) for c in np.unique(charts[act])]
+            regroup = False
         t = s * steps[act]
         h = np.minimum(steps[act], t_ends[act] - t)[:, None]
-        ab = coefs[:, act]
-        live = [(k, np.searchsorted(act, b), fn) for k, b, fn in calls if nsteps[b] > s]
-        groups = [(c, np.flatnonzero(charts[act] == c)) for c in np.unique(charts[act])]
         X[act], V[act] = rk4_step(f, (X[act], V[act]), h)
         for chart, idx in groups:
             if model.periods is not None:
@@ -148,6 +168,7 @@ def integrate_hplanar_batch(model, x0s, v0s, alphas, betas, t_end=1.0, step=1e-3
                     raise OutOfDomainError(f"curve {b} left the atlas at t={t[i] + h[i, 0]:.4f}",
                                            last_sample=sample(b, s))
                 charts[b], X[b], V[b] = pt.chart, pt.coords, vv
+                regroup = True
         hist_c[s + 1], hist_X[s + 1], hist_V[s + 1] = charts, X, V
     return [sample(b, nsteps[b]) for b in range(nb)]
 

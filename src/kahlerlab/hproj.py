@@ -328,15 +328,11 @@ def solution_to_json(sol, points):
 
 def hermitian_symmetric_basis(J):
     """Orthonormal basis (in the Frobenius sense) of symmetric J-invariant
-    (0,2) tensors; dimension n^2 on a 2n-dimensional space."""
+    (0,2) tensors, as an (n^2, d, d) stack on a d = 2n-dimensional space."""
     d = J.shape[0]
-    cands = []
-    for i in range(d):
-        for j in range(i, d):
-            E = np.zeros((d, d))
-            E[i, j] = E[j, i] = 1.0
-            cands.append(hermitize(E, J).ravel())
-    M = np.stack(cands)
+    i, j = np.triu_indices(d)
+    cands = np.zeros((len(i), d, d))
+    cands[np.arange(len(i)), i, j] = cands[np.arange(len(i)), j, i] = 1.0
+    M = hermitize(cands, J).reshape(len(i), -1)
     _, s, vt = np.linalg.svd(M, full_matrices=False)
-    keep = s > 1e-9 * s[0]
-    return [vt[k].reshape(d, d) for k in range(int(np.sum(keep)))]
+    return vt[:int(np.sum(s > 1e-9 * s[0]))].reshape(-1, d, d)

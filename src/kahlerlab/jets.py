@@ -29,11 +29,12 @@ coordinate jets at a batch of points as views of one read-only
 (ncoef, *batch, nvars) array, which the list it returns also holds as a
 single jet, so a metric function need not stack them again.
 
-Solution fields are written against plain scalar arithmetic
-(``+ - * /``), so the same code runs on floats, on numpy arrays (batched
-evaluation) and on Jets (derivative evaluation).  Model metric functions
-and chart transitions take the same scalar lists and return one tensor (an
-array, or a Jet with a (..., d, d) or (..., d) payload).
+Jet arithmetic is ``+``, ``-`` and ``*`` with jets, arrays and numbers,
+whose payloads broadcast as numpy shapes do; division is a product with
+``reciprocal``.  Model metric functions and chart transitions take a list
+of scalars (numbers, arrays for batched evaluation, or Jets for
+derivatives) and return one tensor (an array, or a Jet with a (..., d, d)
+or (..., d) payload).
 """
 
 import itertools
@@ -228,11 +229,14 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = _match(self, other)
+            if a.coef.ndim != b.coef.ndim:
+                a, b = _broadcast_payloads(a, b)
             return Jet(a.space, a.coef + b.coef)
         other = np.asarray(other, dtype=float)
         shape = np.broadcast(self.coef[0], other).shape
         coef = (self.coef if shape == self.payload_shape
-                else np.broadcast_to(self.coef, (self.space.ncoef,) + shape)).copy()
+                else np.broadcast_to(_payload_axes(self.coef, len(shape)),
+                                     (self.space.ncoef,) + shape)).copy()
         coef[0] += other
         return Jet(self.space, coef)
 
@@ -244,15 +248,16 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             a, b = _match(self, other)
+            if a.coef.ndim != b.coef.ndim:
+                a, b = _broadcast_payloads(a, b)
             return Jet(a.space, a.coef - b.coef)
         return self + -np.asarray(other, dtype=float)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = _match(self, other)
+            if a.coef.ndim != b.coef.ndim:
+                a, b = _broadcast_payloads(a, b)
             s = a.space
             if s.order > 1:
                 prods = a.coef[s._mia] * b.coef[s._mib]
@@ -260,7 +265,9 @@ class Jet:
             coef = a.coef * b.coef[0]               # a_0 b_0 and a_k b_0
             coef[1:] += a.coef[0] * b.coef[1:]      # + a_0 b_k
             return Jet(s, coef)
-        return Jet(self.space, self.coef * np.asarray(other, dtype=float))
+        other = np.asarray(other, dtype=float)
+        coef = self.coef if other.ndim < self.coef.ndim else _payload_axes(self.coef, other.ndim)
+        return Jet(self.space, coef * other)
 
     __rmul__ = __mul__
 
@@ -270,14 +277,6 @@ class Jet:
         if (np.abs(c0) < 1e-300).any():
             raise ZeroDivisionError("jet reciprocal at vanishing value")
         return Jet(self.space, _inverse_coef(self, 1.0 / c0, np.multiply))
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.space, self.coef / np.asarray(other, dtype=float))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     def exp(self):
         c0 = self.coef[0]
@@ -312,6 +311,20 @@ def _inverse_coef(a, x0, mul):
         terms = mul(a.coef[s._mia[ps]], x[s._mib[ps]])
         x[cs] = -mul(x0, np.add.reduceat(terms, starts, axis=0))
     return x
+
+
+def _payload_axes(coef, ndim):
+    """Coefficients with length-1 payload axes put in front, up to ``ndim``
+    payload axes, as numpy broadcasting aligns a shorter shape."""
+    return coef.reshape(coef.shape[:1] + (1,) * (ndim + 1 - coef.ndim) + coef.shape[1:])
+
+
+def _broadcast_payloads(a, b):
+    """Two jets of one space with as many payload axes each, so that their
+    payloads broadcast as numpy arrays of those shapes do."""
+    ndim = max(a.coef.ndim, b.coef.ndim) - 1
+    return (Jet(a.space, _payload_axes(a.coef, ndim)),
+            Jet(b.space, _payload_axes(b.coef, ndim)))
 
 
 def _match(a, b):

@@ -32,12 +32,15 @@ from .jets import Jet, jet_eval, jet_space
 from .tensors import jtensor_contract
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
+    """A named coordinate box [lo, hi]; lo and hi are kept as read-only
+    float arrays."""
+
     name: str
     dim: int
-    lo: tuple
-    hi: tuple
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
         if self.dim % 2 != 0 or self.dim < 4:
@@ -45,12 +48,16 @@ class Chart:
                 f"chart dimension must be even and >= 4, got {self.dim}")
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise InvalidInputError("domain box does not match dimension")
+        for side in ("lo", "hi"):
+            box = np.array(getattr(self, side), dtype=float)
+            box.flags.writeable = False
+            object.__setattr__(self, side, box)
 
     def contains(self, coords, margin=0.0):
         """Whether a point (each row of a stack) lies in the shrunk box."""
         c = np.asarray(coords, dtype=float)
-        return (np.all(c >= np.array(self.lo) + margin, axis=-1)
-                & np.all(c <= np.array(self.hi) - margin, axis=-1))
+        return (np.all(c >= self.lo + margin, axis=-1)
+                & np.all(c <= self.hi - margin, axis=-1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,9 +332,9 @@ def product_model(factors, weights=None):
     n = sum(f.n for f in factors)
     dims = [f.dim for f in factors]
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    lo = sum((list(f.chart().lo) for f in factors), [])
-    hi = sum((list(f.chart().hi) for f in factors), [])
-    chart = Chart("c0", 2 * n, tuple(lo), tuple(hi))
+    lo = np.concatenate([f.chart().lo for f in factors])
+    hi = np.concatenate([f.chart().hi for f in factors])
+    chart = Chart("c0", 2 * n, lo, hi)
 
     factor_fns = [f.metric_fn() for f in factors]
     spans = list(zip(offsets[:-1], offsets[1:]))
@@ -368,7 +375,7 @@ def flat_torus(n, periods=1.0):
         raise InvalidInputError(f"periods must be positive, one or {2 * n} of them")
     periods = periods * np.ones(2 * n)
     half = periods / 2.0
-    chart = Chart("c0", 2 * n, tuple(-half), tuple(half))
+    chart = Chart("c0", 2 * n, -half, half)
     return KahlerModel("torus", n, {"c0": chart}, "c0", {"c0": _constant_metric_fn([1.0] * n)},
                        {"c0": standard_J(n)}, periods=periods,
                        sample_halfwidth=float(np.min(half)) * 0.9,

@@ -51,9 +51,9 @@ class ProlongedState:
 
 
 def _pack(a, lam, mu):
-    """A batch of fiber states as the rows of one matrix: a (row-major),
-    lambda, mu."""
-    return np.concatenate([a.reshape(len(a), -1), lam, mu[:, None]], axis=1)
+    """Fiber states as the rows of one matrix: a (row-major), lambda, mu;
+    any leading axes of the states are kept."""
+    return np.concatenate([a.reshape(a.shape[:-2] + (-1,)), lam, mu[..., None]], axis=-1)
 
 
 def _unpack(P, d):
@@ -68,18 +68,24 @@ def fiber_dimension(n):
 def fiber_basis(model):
     """Basis of the prolonged fiber: hermitian symmetric a's, the lambda
     directions, and mu.  Length (n+1)^2."""
-    J = model.j_matrix()
-    d = model.dim
-    herm = hermitian_symmetric_basis(J)
-    basis = [ProlongedState(h, np.zeros(d), 0.0) for h in herm]
-    for i in range(d):
-        lam = np.zeros(d)
-        lam[i] = 1.0
-        basis.append(ProlongedState(np.zeros((d, d)), lam, 0.0))
-    basis.append(ProlongedState(np.zeros((d, d)), np.zeros(d), 1.0))
+    basis = [ProlongedState(*state)
+             for state in zip(*_unpack(_fiber_frame(model.j_matrix()), model.dim))]
     if len(basis) != fiber_dimension(model.n):
         raise InvalidInputError("hermitian basis has unexpected dimension")
     return basis
+
+
+def _fiber_frame(J):
+    """The fiber basis as the packed rows of one (N, d^2 + d + 1) matrix E:
+    orthonormal, so ``P @ E.T`` gives the fiber coordinates of packed
+    states P, projected onto the fiber (a hermitized), and ``C @ E`` the
+    packed states of coordinates C."""
+    d = J.shape[0]
+    herm = hermitian_symmetric_basis(J).reshape(-1, d * d)
+    E = np.zeros((len(herm) + d + 1, d * d + d + 1))
+    E[:len(herm), :d * d] = herm
+    E[len(herm):, d * d:] = np.eye(d + 1)
+    return E
 
 
 # -- residuals of the prolonged system ---------------------------------------
@@ -203,43 +209,74 @@ def _geo_floats_batch(model, chart, X):
     return gjet.const, christoffels(gjet.const, gjet.derivatives(1))
 
 
-def rk4_step(f, y, h):
-    """One classical RK4 step of y' = f(c, y) for a tuple of arrays y.
-
-    ``c`` is the stage's offset within the step as a fraction of h: 0, 1/2
-    or 1.
-    """
-    k1 = f(0.0, y)
-    k2 = f(0.5, tuple(u + h / 2 * k for u, k in zip(y, k1)))
-    k3 = f(0.5, tuple(u + h / 2 * k for u, k in zip(y, k2)))
-    k4 = f(1.0, tuple(u + h * k for u, k in zip(y, k3)))
-    return tuple(u + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
-                 for u, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
-
-
 def _rhs(gm, J, gamma, xdot, B, a, lam, mu):
+    """Derivative of the states (a, lam, mu) along x' = xdot under the
+    geometry (gm, gamma).  Leading axes broadcast as in matmul: geometry of
+    shape (S, 1, d, d) and (S, 1, d, d, d) against N states gives (S, N, ...)
+    derivatives, except dmu, which needs no geometry."""
     gx = gm @ xdot
     Jx = (gm @ J) @ xdot
     lbar = lam @ J
     C = xdot @ gamma                                # C_ai = Gamma^a_ki xdot^k
-    u = lam[:, :, None] * gx - lbar[:, :, None] * Jx
-    da = u + np.swapaxes(u, 1, 2) + C.T @ a + a @ C
-    dlam = mu[:, None] * gx + B * (a @ xdot) + lam @ C
+    u = lam[..., :, None] * gx[..., None, :] - lbar[..., :, None] * Jx[..., None, :]
+    da = u + np.swapaxes(u, -1, -2) + np.swapaxes(C, -1, -2) @ a + a @ C
+    dlam = mu[..., None] * gx + B * (a @ xdot) + (lam[..., None, :] @ C)[..., 0, :]
     dmu = 2.0 * B * (lam @ xdot)
     return da, dlam, dmu
 
 
-def _transport_batch(model, B, segments, a, lam, mu, step):
-    """RK4 transport of a batch of states along a list of segments, with the
-    hermitian projection of a after every step.
+# Steps per block of a segment propagator: bounds the (stages, N, N)
+# temporaries of one block, and so the peak memory.
+_STEP_BLOCK = 32
 
-    The geometry at every RK4 stage point is precomputed in one batched jet
-    evaluation per segment, whose velocity x1 - x0 is the same at every
-    stage.  When every stage point also sees the same g and Gamma vanishes
-    (a constant metric), every step is the same linear map: one RK4 step of
-    the identity on the packed fiber, raised to the step count by squaring.
+
+def _step_matrices(G, J, GAM, xdot, B, frame, h):
+    """The RK4 step matrices, in fiber coordinates, of the k steps whose
+    2k + 1 stage points carry the geometry G, GAM.
+
+    The system is linear, so a stage is the matrix A whose row m is the
+    derivative of fiber basis state m, in fiber coordinates: y' = y A for a
+    row of coordinates y.  One RK4 step is then y -> y M with
+    M = I + h/6 (A_0 + 2 K_2 + 2 K_3 + K_4), K_2 = A_h + h/2 A_0 A_h,
+    K_3 = A_h + h/2 K_2 A_h and K_4 = A_1 + h K_3 A_1.
+    """
+    d = J.shape[0]
+    da, dlam, dmu = _rhs(G[:, None], J, GAM[:, None], xdot, B, *_unpack(frame, d))
+    A = _pack(da, dlam, np.broadcast_to(dmu, dlam.shape[:-1])) @ frame.T
+    A0, Ah, A1 = A[:-1:2], A[1::2], A[2::2]
+    K2 = Ah + (h / 2) * (A0 @ Ah)
+    K3 = Ah + (h / 2) * (K2 @ Ah)
+    K4 = A1 + h * (K3 @ A1)
+    return np.eye(len(frame)) + (h / 6) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _tree_product(M):
+    """M[0] @ M[1] @ ... @ M[-1], multiplied pairwise: log2(k) batched
+    products in place of k - 1 single ones."""
+    while len(M) > 1:
+        pairs = M[:-1:2] @ M[1::2]
+        M = np.concatenate([pairs, M[-1:]]) if len(M) % 2 else pairs
+    return M[0]
+
+
+def _transport_batch(model, B, segments, a, lam, mu, step):
+    """RK4 transport of a batch of states along a list of segments.
+
+    The states enter as fiber coordinates (so a is hermitized once, at
+    entry) and leave as states.  Along each segment, the geometry at every
+    RK4 stage point is one batched evaluation, and its velocity x1 - x0 is
+    the same at every stage.  The segment's propagator is the product of
+    its step matrices (``_step_matrices``), built _STEP_BLOCK steps at a
+    time and multiplied as a pairwise tree, each block's product joining
+    the running one; it is applied to the coordinates once.  When every
+    stage point sees the same g and Gamma vanishes (a constant metric),
+    every step is the same matrix, built from the first three stage points
+    and raised to the step count.
     """
     J = model.j_matrix(segments[0].chart)
+    d = J.shape[0]
+    frame = _fiber_frame(J)
+    coords = _pack(a, lam, mu) @ frame.T
     for seg in segments:
         nsteps = max(1, int(np.ceil(seg.length / step)))
         h = 1.0 / nsteps
@@ -249,26 +286,20 @@ def _transport_batch(model, B, segments, a, lam, mu, step):
         X = seg.x0 + ts[:, None] * xdot
         if model.periods is None and not (
                 np.all(X >= chart_box.lo) and np.all(X <= chart_box.hi)):
-            raise OutOfDomainError(
-                f"transport left chart {seg.chart}", last_sample=(X[-1], a, lam, mu))
+            raise OutOfDomainError(f"transport left chart {seg.chart}",
+                                   last_sample=(X[-1],) + _unpack(coords @ frame, d))
         G, GAM = _geo_floats_batch(model, seg.chart, X)
-
-        def f(c, y):
-            i = 2 * s + int(2 * c)      # stage c of step s sits at t = (s + c) h
-            return _rhs(G[i], J, GAM[i], xdot, B, *y)
-
-        def step_fn(y):
-            y = rk4_step(f, y, h)
-            return (hermitize(y[0], J),) + y[1:]
-
         if not GAM.any() and (G == G[0]).all():
-            s, d = 0, J.shape[0]        # every step is the step from t = 0
-            M = _pack(*step_fn(_unpack(np.eye(d * d + d + 1), d)))
-            a, lam, mu = _unpack(_pack(a, lam, mu) @ np.linalg.matrix_power(M, nsteps), d)
+            M = _step_matrices(G[:3], J, GAM[:3], xdot, B, frame, h)[0]
+            coords = coords @ np.linalg.matrix_power(M, nsteps)
             continue
-        for s in range(nsteps):
-            a, lam, mu = step_fn((a, lam, mu))
-    return a, lam, mu
+        prop = np.eye(len(frame))
+        for s in range(0, nsteps, _STEP_BLOCK):
+            block = slice(2 * s, 2 * min(s + _STEP_BLOCK, nsteps) + 1)
+            prop = prop @ _tree_product(_step_matrices(G[block], J, GAM[block], xdot, B,
+                                                       frame, h))
+        coords = coords @ prop
+    return _unpack(coords @ frame, d)
 
 
 def _stack(states):
@@ -452,7 +483,7 @@ def _pencil_candidates(model, base_point):
     stream has to confirm each candidate."""
     g = geom(model, base_point, 2)
     gm, J = g["g"].const, g["J"]
-    herm = np.stack(hermitian_symmetric_basis(J))
+    herm = hermitian_symmetric_basis(J)
     L = _int_cond_rows(gm, J, riemann(g["gamma"]), 0.0, herm)
     T = -_int_cond_rows(gm, J, np.zeros((gm.shape[0],) * 4), 1.0, herm)
     w = np.linalg.eigvals(np.linalg.lstsq(T, L, rcond=None)[0])

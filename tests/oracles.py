@@ -36,7 +36,10 @@ along a curve, the way the package computed them before it took whole
 curves as arrays.
 
 The transport reference is the prolonged system's right-hand side along a
-curve, written index by index with einsum.
+curve, written index by index with einsum, and ``stepwise_transport``, which
+takes one classical RK4 step of it after another on the states themselves,
+hermitizing a after every step, the way the package transported before it
+built a propagator per segment.
 
 The curvature-condition reference is the defect's former kernel: the two
 a R terms and the four bracket terms as einsum outer products, with the
@@ -50,7 +53,8 @@ from LU with partial pivoting on the value part, over those products.
 recurrence can be run on an order-1 jet and compared with its order-1 case.
 
 ``CNum`` is a complex number over generic real scalars (floats, arrays or
-jets), so complex chart formulas run on jets.  ``fd_gradient`` and
+jets), so complex chart formulas run on jets; it divides through ``recip``,
+since a Jet has no division operator.  ``fd_gradient`` and
 ``fd_hessian`` are 4th-order central differences: a derivative backend that
 shares nothing with the jets.
 
@@ -68,7 +72,8 @@ import numpy as np
 from kahlerlab.geometry import cov_step_jet
 from kahlerlab.hproj import SolutionField, geom
 from kahlerlab.jets import Jet, jet_einsum, jet_eval, jet_space
-from kahlerlab.tensors import jtensor_contract
+from kahlerlab.prolongation import _geo_floats_batch
+from kahlerlab.tensors import hermitize, jtensor_contract
 
 
 class CNum:
@@ -113,12 +118,17 @@ class CNum:
 
     def __truediv__(self, other):
         other = _as_cnum(other)
-        d = other.abs2()
+        inv = recip(other.abs2())
         num = self * other.conj()
-        return CNum(num.re / d, num.im / d)
+        return CNum(num.re * inv, num.im * inv)
 
     def __rtruediv__(self, other):
         return _as_cnum(other) / self
+
+
+def recip(x):
+    """1/x of a float, an array or a Jet (which has no division operator)."""
+    return x.reciprocal() if isinstance(x, Jet) else 1.0 / x
 
 
 def _as_cnum(x):
@@ -245,7 +255,7 @@ def fs_hermitian(z):
     s = 1.0
     for zk in z:
         s = s + zk.abs2()
-    inv_s2 = 1.0 / (s * s)
+    inv_s2 = recip(s * s)
     h = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -462,6 +472,32 @@ def rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu):
     return da, dlam, dmu
 
 
+def stepwise_transport(model, B, segments, a, lam, mu, step):
+    """Reference transport: one RK4 step of ``rhs_einsum`` after another,
+    with the geometry at every stage point and a hermitized after every
+    step.  Takes and returns the batch arrays of ``_transport_batch``."""
+    J = model.j_matrix(segments[0].chart)
+    for seg in segments:
+        nsteps = max(1, int(np.ceil(seg.length / step)))
+        h = 1.0 / nsteps
+        xdot = seg.x1 - seg.x0
+        X = np.stack([seg.x0 + t * xdot for t in np.arange(2 * nsteps + 1) * h / 2])
+        G, GAM = _geo_floats_batch(model, seg.chart, X)
+        for s in range(nsteps):
+            def f(i, y):
+                return rhs_einsum(G[i], J, GAM[i], xdot, B, *y)
+
+            y = (a, lam, mu)
+            k1 = f(2 * s, y)
+            k2 = f(2 * s + 1, [u + h / 2 * k for u, k in zip(y, k1)])
+            k3 = f(2 * s + 1, [u + h / 2 * k for u, k in zip(y, k2)])
+            k4 = f(2 * s + 2, [u + h * k for u, k in zip(y, k3)])
+            a, lam, mu = (u + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                          for u, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+            a = hermitize(a, J)
+    return a, lam, mu
+
+
 # -- curvature condition ------------------------------------------------------
 
 def curvature_condition_einsum(a, dlam, R, gm, J):
@@ -524,7 +560,7 @@ def _newton_steps(space):
 def newton_reciprocal(a):
     r = Jet.constant(a.space, 1.0 / a.const)
     for _ in range(_newton_steps(a.space)):
-        r = jet_mul_add_at(r, 2.0 - jet_mul_add_at(a, r))
+        r = jet_mul_add_at(r, -jet_mul_add_at(a, r) + 2.0)
     return r
 
 

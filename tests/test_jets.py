@@ -9,12 +9,12 @@ from kahlerlab.jets import (Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_in
 
 from oracles import (CNum, fd_gradient, fd_hessian, generic_det, jet_einsum_add_at,
                      jet_mul_add_at, log_abs, newton_matrix_inverse, newton_reciprocal,
-                     padded)
+                     padded, recip)
 
 
 def f_rational(xs):
     x, y = xs
-    return x * x * y + x * y / (1.0 + x * x)
+    return x * x * y + x * y * recip(1.0 + x * x)
 
 
 def test_value_and_partials_against_closed_form():
@@ -260,6 +260,27 @@ def test_sum_difference_and_first_partials(order, rng):
     assert np.array_equal(wide.const, narrow.const + c[:4])
     assert np.array_equal(wide.coef[1:], np.broadcast_to(narrow.coef[1:], wide.coef[1:].shape))
     assert np.array_equal(a.derivatives(1), a.gradient().const)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_payloads_broadcast_as_numpy_shapes(order, rng):
+    # a shorter payload gains leading axes, as a numpy shape does: (5, 3)
+    # against (2, 1, 3) is (2, 5, 3), and against (5, 5, 3) is (5, 5, 3)
+    space = jet_space(4, order)
+    a = Jet(space, rng.normal(size=(space.ncoef, 5, 3)))
+    c = rng.normal(size=(2, 1, 3))
+    for got, const in ((a + c, a.const + c), (a - c, a.const - c), (c + a, c + a.const)):
+        assert got.payload_shape == (2, 5, 3)
+        assert np.array_equal(got.const, const)
+        assert np.array_equal(got.coef[1:],
+                              np.broadcast_to(a.coef[1:, None], got.coef[1:].shape))
+    assert np.array_equal((a * c).coef, a.coef[:, None] * c)
+    b = Jet(space, rng.normal(size=(space.ncoef, 5, 5, 3)))
+    for got in (a * b, b * a):
+        assert got.payload_shape == (5, 5, 3)
+        assert np.allclose(got.coef, jet_mul_add_at(a, b).coef, rtol=1e-14, atol=1e-14)
+    assert np.array_equal((a + b).coef, a.coef[:, None] + b.coef)
+    assert np.array_equal((a - b).coef, a.coef[:, None] - b.coef)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

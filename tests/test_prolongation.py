@@ -19,7 +19,7 @@ from kahlerlab.prolongation import (ROW_FLOOR, SVD_TOL, MobilityConfig, Prolonge
 from kahlerlab.tensors import hermitize
 from conftest import traced_peak
 from oracles import (ExplicitSolution, TrivialSolution, oracle_geometry, rhs_einsum,
-                     zero_vec_jet)
+                     stepwise_transport, zero_vec_jet)
 
 
 def _packed(states):
@@ -608,24 +608,6 @@ def _tori3():
     return product_model([flat_torus(2, 1.0) for _ in range(3)])
 
 
-def _stepwise(model, B, segments, a, lam, mu, step):
-    """Reference transport: one RK4 step after another, geometry at every stage."""
-    J = model.j_matrix(segments[0].chart)
-    for seg in segments:
-        nsteps = max(1, int(np.ceil(seg.length / step)))
-        h = 1.0 / nsteps
-        xdot = seg.x1 - seg.x0
-        X = np.stack([seg.x0 + t * xdot for t in np.arange(2 * nsteps + 1) * h / 2])
-        G, GAM = prolongation._geo_floats_batch(model, seg.chart, X)
-        for s in range(nsteps):
-            def f(c, y):
-                i = 2 * s + int(2 * c)
-                return prolongation._rhs(G[i], J, GAM[i], xdot, B, *y)
-            a, lam, mu = prolongation.rk4_step(f, (a, lam, mu), h)
-            a = hermitize(a, J)
-    return a, lam, mu
-
-
 @pytest.mark.parametrize("d", [4, 8, 12])
 @pytest.mark.parametrize("batch", [1, "N"])
 def test_rhs_matches_einsum_oracle(d, batch, rng):
@@ -639,42 +621,76 @@ def test_rhs_matches_einsum_oracle(d, batch, rng):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("name,B", [("torus", 0.0), ("tori3", 0.0), ("flat", -0.25)])
+def _transport_model(name, flat2, torus2, ga_diag):
+    return {"torus": torus2, "tori3": _tori3(), "flat": flat2, "fs2": fubini_study(2),
+            "fs4": fubini_study(4), "pullback": ga_diag,
+            "fs_x_flat": _fs_products()["fs_x_flat"]}[name]
+
+
+@pytest.mark.parametrize("name,B", [("torus", 0.0), ("tori3", 0.0), ("flat", -0.25),
+                                    ("fs2", -0.25), ("fs4", -0.25), ("pullback", -0.25),
+                                    ("fs_x_flat", -0.25)])
 @pytest.mark.parametrize("raw", [True, False])
 @pytest.mark.parametrize("batch", [1, "N"])
-def test_squared_transport_matches_stepwise(name, B, raw, batch, flat2, torus2, rng):
-    # constant metric, straight segments: the step map raised by squaring,
-    # on raw states (not hermitian, so that the projection after each step
-    # shows) and on hermitian ones, as every caller passes
-    model = {"torus": torus2, "tori3": _tori3(), "flat": flat2}[name]
-    base = np.zeros(model.dim)
-    segments = [Segment("c0", base, rng.uniform(-0.4, 0.4, model.dim))]
+def test_squared_transport_matches_stepwise(name, B, raw, batch, flat2, torus2, ga_diag,
+                                            rng):
+    # the segment propagators against one RK4 step after another: a segment
+    # of many step blocks, then one shorter than a block (and, on a torus, a
+    # lattice loop); raw states (not hermitian) are projected onto the fiber
+    # at entry, so they go where their hermitian parts go
+    model = _transport_model(name, flat2, torus2, ga_diag)
+    x1 = rng.uniform(-0.4, 0.4, model.dim)
+    short = 0.5 * prolongation._STEP_BLOCK * 2e-3
+    segments = [Segment("c0", np.zeros(model.dim), x1),
+                Segment("c0", x1, x1 + short * rng.uniform(-1.0, 1.0, model.dim)
+                        / np.sqrt(model.dim))]
     if model.periods is not None:
-        segments += lattice_loops(model, model.point(segments[0].x1))[0]
+        segments += lattice_loops(model, model.point(segments[-1].x1))[0]
     N = 1 if batch == 1 else len(fiber_basis(model))
     a, lam, mu = (rng.normal(size=(N, model.dim, model.dim)),
                   rng.normal(size=(N, model.dim)), rng.normal(size=N))
-    if not raw:
-        a = hermitize(a, model.j_matrix())
-    got = prolongation._transport_batch(model, B, segments, a, lam, mu, 2e-3)
-    ref = _stepwise(model, B, segments, a, lam, mu, 2e-3)
+    herm = hermitize(a, model.j_matrix())
+    got = prolongation._transport_batch(model, B, segments, a if raw else herm, lam, mu, 2e-3)
+    ref = stepwise_transport(model, B, segments, herm, lam, mu, 2e-3)
     scale = max(np.max(np.abs(r)) for r in ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape
         assert np.max(np.abs(g - r)) <= 1e-12 * scale
 
 
-def test_only_constant_segments_are_squared(fs2, flat2, monkeypatch):
+def test_transport_is_fourth_order(fs2):
+    # the endpoint error against a run at h/8 drops by 2^4 when h halves,
+    # within the bounds of the hplanar rk4_ratio check
+    seg = [Segment("c0", np.zeros(4), np.array([0.5, -0.3, 0.2, 0.4]))]
+    states = prolongation._stack(fiber_basis(fs2))
+    h = seg[0].length / 8
+
+    def run(step):
+        return _packed([ProlongedState(*s) for s in zip(*prolongation._transport_batch(
+            fs2, -0.25, seg, *states, step))])
+
+    ref = run(h / 8)
+    err_h, err_h2 = (np.max(np.abs(run(step) - ref)) for step in (h, h / 2))
+    assert err_h2 > 1e-9
+    assert 12.0 <= err_h / err_h2 <= 20.0
+
+
+def test_transport_builds_stages_once_per_block(fs2, flat2, monkeypatch):
+    # one _rhs call builds every stage matrix of a block of steps: no call
+    # per step comes back, and a constant segment builds one step
     calls = []
     rhs = prolongation._rhs
     monkeypatch.setattr(prolongation, "_rhs", lambda *args: calls.append(1) or rhs(*args))
     st = fiber_basis(fs2)[0]
     seg = Segment("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
-    transport_states(fs2, -0.25, [seg], [st], step=0.05)
-    assert len(calls) == 4 * int(np.ceil(seg.length / 0.05))     # every step of FS
+    for step in (0.05, 2e-3, seg.length / prolongation._STEP_BLOCK):
+        nsteps = int(np.ceil(seg.length / step))
+        calls.clear()
+        transport_states(fs2, -0.25, [seg], [st], step=step)
+        assert 1 <= len(calls) <= np.ceil(nsteps / prolongation._STEP_BLOCK)
     calls.clear()
-    transport_states(flat2, -0.25, [seg], [st], step=0.05)
-    assert len(calls) == 4                                        # one step of the identity
+    transport_states(flat2, -0.25, [seg, seg], [st], step=2e-3)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["torus", "tori3"])
@@ -686,13 +702,13 @@ def test_mobility_kernel_matches_stepwise(name, torus2, monkeypatch, rng):
         q, _ = np.linalg.qr(_packed(report.basis).T)
         return q @ q.T
 
-    squared = degree_of_mobility(model, 0.0, base)
-    _assert_certified(model, squared, rng)
-    monkeypatch.setattr(prolongation, "_transport_batch", _stepwise)
+    propagated = degree_of_mobility(model, 0.0, base)
+    _assert_certified(model, propagated, rng)
+    monkeypatch.setattr(prolongation, "_transport_batch", stepwise_transport)
     stepwise = degree_of_mobility(model, 0.0, base)
-    assert squared.dimension == stepwise.dimension == model.n ** 2
-    assert squared.constraint_history == stepwise.constraint_history
-    assert np.max(np.abs(projector(squared) - projector(stepwise))) <= 1e-10
+    assert propagated.dimension == stepwise.dimension == model.n ** 2
+    assert propagated.constraint_history == stepwise.constraint_history
+    assert np.max(np.abs(projector(propagated) - projector(stepwise))) <= 1e-10
 
 
 def test_certificate_of_a_non_finite_state_is_non_finite(fs2, rng):
