@@ -435,16 +435,18 @@ def _parse(parser, argv):
 
 
 def _check_bounds(scenario, values):
-    """Refuse a tol or step that is not a positive number, and a samples or
-    verify_basis count out of its range.  Config values are checked as
-    written, before argparse converts string defaults."""
+    """Refuse a tol or step that is not a positive number, and a samples,
+    verify_basis or seed count out of its range; a bool is neither.  Config
+    values are checked as written, before argparse converts string defaults,
+    and again once parsed."""
     for key, value in values.items():
-        if key in ("tol", "step") and not (isinstance(value, (int, float))
-                                           and 0 < value < math.inf):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if key in ("tol", "step") and not (number and 0 < value < math.inf):
             raise ConfigError(f"{key} must be a positive number, got {value!r}")
-        if key in ("samples", "verify_basis"):
-            lo, hi = SCENARIOS[scenario][2]["samples"][1:] if key == "samples" else (1, math.inf)
-            if not (isinstance(value, int) and lo <= value <= hi):
+        if key in ("samples", "verify_basis", "seed"):
+            lo, hi = (SCENARIOS[scenario][2]["samples"][1:] if key == "samples"
+                      else (1 if key == "verify_basis" else 0, math.inf))
+            if not (number and isinstance(value, int) and lo <= value <= hi):
                 span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
                 raise ConfigError(f"{key} must be an integer {span}, got {value!r}")
 
@@ -464,7 +466,8 @@ def _apply_config(args, argv):
     if unread:
         raise ConfigError(f"{args.scenario} does not read the config key(s) "
                           f"{', '.join(map(repr, unread))}")
-    _check_bounds(args.scenario, cfg)
+    # a seed is checked once parsed: argparse converts a string seed
+    _check_bounds(args.scenario, {k: v for k, v in cfg.items() if k != "seed"})
     model = cfg.pop("model") if isinstance(cfg.get("model"), dict) else None
     if model is None:
         return _parse(build_parser(cfg), argv)

@@ -15,9 +15,9 @@ The first-order system these should satisfy is
 
 with lbar_i = J^a_i lambda_a and J_jk = g_ja J^a_k; `hpr_residual` measures
 its defect.  Every field and residual reads the metric, inverse-metric and
-connection jets at a point from `geom`, one memo shared by all models.
-That memo, and a pair solution's a-jet memo, hold one entry per point at
-the highest order asked there and serve lower orders by truncation.
+connection jets at a point from `geom`, whose memo each model owns.  That
+memo, and a pair solution's a-jet memo, hold one entry per point at the
+highest order asked there and serve lower orders by truncation.
 Everything here is pointwise-parallel.
 """
 
@@ -32,7 +32,6 @@ from .tensors import hermitize
 # -- geometry at a point -----------------------------------------------------
 
 _MEMO_BOUND = 512
-_GEOM_MEMO = {}
 _DET_FLOOR = 1e-12
 
 
@@ -70,13 +69,13 @@ def _geom_entry(model, point, order):
 
 def geom(model, point, order):
     """Jets of the metric, its inverse and (order >= 1) the connection, one
-    order lower, at a chart point, with the chart's J.  Memoized with one
-    entry per model, chart and point, at the highest order asked there; a
-    lower order is served by truncating that entry.  The jets' coefficients
+    order lower, at a chart point, with the chart's J.  Memoized in the
+    model, one entry per chart and point at the highest order asked there;
+    a lower order is served by truncating that entry.  The jets' coefficients
     are read-only.  A metric whose |det| is below _DET_FLOOR times the
     product of its row norms raises SingularMetricError."""
-    key = (model, point.chart, point.coords.tobytes())
-    gjet, ginv, gamma = _highest_order(_GEOM_MEMO, key, order,
+    key = (point.chart, point.coords.tobytes())
+    gjet, ginv, gamma = _highest_order(model._geom_memo, key, order,
                                        lambda p: _geom_entry(model, point, p))
     return {"g": gjet.truncate(order), "ginv": ginv.truncate(order),
             "gamma": gamma.truncate(order - 1) if order >= 1 else None,

@@ -8,11 +8,14 @@ A :class:`Jet` stores the Taylor coefficients of a smooth function of
 
 Coefficients live in a numpy array of shape ``(ncoef, *payload)``, so a
 single Jet can carry a whole tensor (payload = component shape) and all
-operations broadcast over the payload.  Derivatives are read off the
-coefficients exactly.
+operations broadcast over the payload.
 
-A product sums its Leibniz terms segment by segment over one multiplication
-table per space, sorted by target coefficient.  Inverses, scalar or matrix,
+Each space builds two index tables when it is constructed, and nothing
+writes to it afterwards.  A product sums its Leibniz terms segment by
+segment over the multiplication table, sorted by target coefficient.  A
+gradient is one gather over the differentiation table: coefficient i of
+d/dx_v is (e_i[v] + 1) times coefficient e_i + e_v, and the order-r partials
+are r gradients, so derivatives are exact.  Inverses, scalar or matrix,
 follow the degree recurrence X_c = -X_0 sum_{deg i >= 1, i + j = c} A_i X_j,
 and determinants enter as log-determinants, log|det A_0| plus the series of
 tr(N^k) for the nilpotent N = A_0^-1 (A - A_0) (Griewank & Walther,
@@ -37,7 +40,6 @@ derivatives) and return one tensor (an array, or a Jet with a (..., d, d)
 or (..., d) payload).
 """
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -79,17 +81,16 @@ class JetSpace:
         self.index = {e: i for i, e in enumerate(exps)}
         E = np.array(exps).reshape(self.ncoef, nvars)
         self._degree = E.sum(axis=1)
-        # alpha! per coefficient, for partial-derivative extraction
-        fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-        self._factorial = fact[E].prod(axis=1)
-        self._build_mul_table(E)
-        self._shift_cache = {}
-        self._part_cache = {}
+        self._build_tables(E)
 
-    def _build_mul_table(self, E):
-        """Leibniz pairs (i, j) sorted by the target c of e_i + e_j, the start
-        of each target's segment (never empty: (0, c) is in it), and per
-        degree k >= 1 the coefficient slice, pair slice and segment starts."""
+    def _build_tables(self, E):
+        """The multiplication table: Leibniz pairs (i, j) sorted by the
+        target c of e_i + e_j, the start of each target's segment (never
+        empty: (0, c) is in it), and per degree k >= 1 the coefficient slice,
+        pair slice and segment starts.  The differentiation table: for each
+        coefficient i below the top degree and each variable v, the target
+        of (i, e_v) and the factor e_i[v] + 1, so that coefficient i of
+        d/dx_v is the factor times the jet's coefficient at that target."""
         deg, m, p = self._degree, self.nvars, self.order
         ia, ib = np.nonzero(deg[:, None] + deg[None, :] <= p)
         # position of e_i + e_j in the enumeration: the exponents of lower
@@ -99,6 +100,9 @@ class JetSpace:
                           for a in range(p + m + 1)])
         tail = np.cumsum((E[ia] + E[ib])[:, ::-1], axis=1)[:, ::-1]
         ic = sum(binom[tail[:, v] - 1 + m - v, m - v] for v in range(m))
+        # the pairs (i, 1 + v) come row by row, v = 0..m-1 within each i
+        self._diff_index = ic[(ib >= 1) & (ib <= m)].reshape(-1, m)
+        self._diff_factor = E[:len(self._diff_index)] + 1.0
         perm = np.argsort(ic, kind="stable")
         self._mia, self._mib = ia[perm], ib[perm]
         ends = np.searchsorted(ic[perm], np.arange(self.ncoef + 1))
@@ -108,35 +112,6 @@ class JetSpace:
                             slice(ends[first[k]], ends[first[k + 1]]),
                             ends[first[k]:first[k + 1]] - ends[first[k]])
                            for k in range(1, p + 1)]
-
-    def shift_table(self, var):
-        """Index maps implementing d/dx_var as a series in the order-1 lower space."""
-        if var not in self._shift_cache:
-            lower = jet_space(self.nvars, self.order - 1)
-            src, dst, fac = [], [], []
-            for i, e in enumerate(lower.exponents):
-                e_up = list(e)
-                e_up[var] += 1
-                src.append(self.index[tuple(e_up)])
-                dst.append(i)
-                fac.append(float(e_up[var]))
-            self._shift_cache[var] = (np.array(src), np.array(dst), np.array(fac))
-        return self._shift_cache[var]
-
-    def partial_index(self, r):
-        """Coefficient index array of shape (nvars,)*r for the order-r partials."""
-        if r not in self._part_cache:
-            m = self.nvars
-            idx = np.empty((m,) * r, dtype=int)
-            fac = np.empty((m,) * r)
-            for ks in itertools.product(range(m), repeat=r):
-                e = [0] * m
-                for k in ks:
-                    e[k] += 1
-                idx[ks] = self.index[tuple(e)]
-                fac[ks] = self._factorial[idx[ks]]
-            self._part_cache[r] = (idx, fac)
-        return self._part_cache[r]
 
 
 class Jet:
@@ -191,21 +166,14 @@ class Jet:
         lower = jet_space(self.space.nvars, order)
         return Jet(lower, self.coef[:lower.ncoef])
 
-    def partial(self, var):
-        """The jet of d(self)/dx_var, one order lower."""
-        if self.space.order < 1:
-            raise InvalidInputError("order-0 jet has no derivatives")
-        src, dst, fac = self.space.shift_table(var)
-        lower = jet_space(self.space.nvars, self.space.order - 1)
-        coef = np.zeros((lower.ncoef,) + self.payload_shape)
-        coef[dst] = self.coef[src] * fac.reshape((-1,) + (1,) * len(self.payload_shape))
-        return Jet(lower, coef)
-
     def gradient(self):
-        """Jet with payload gaining a trailing axis of length nvars: d/dx_k."""
-        parts = [self.partial(v).coef for v in range(self.space.nvars)]
-        return Jet(jet_space(self.space.nvars, self.space.order - 1),
-                   np.stack(parts, axis=-1))
+        """Jet one order lower whose payload gains a trailing axis of length
+        nvars, d/dx_k: one gather over the space's table, C-contiguous."""
+        s, ndim = self.space, self.coef.ndim
+        lower = jet_space(s.nvars, s.order - 1)
+        parts = self.coef[s._diff_index].transpose((0, *range(2, ndim + 1), 1))
+        fac = s._diff_factor.reshape((lower.ncoef,) + (1,) * (ndim - 1) + (-1,))
+        return Jet(lower, np.multiply(parts, fac, order="C"))
 
     def derivatives(self, r):
         """Exact order-r partial derivatives at the base point.
@@ -216,14 +184,11 @@ class Jet:
         if r > self.space.order:
             raise InvalidInputError(f"jet of order {self.space.order} has no order-{r} partials")
         if r == 1:   # coefficients 1..nvars, of degree 1 and alpha! = 1
-            ndim = self.coef.ndim
-            return self.coef[1:self.space.nvars + 1].transpose(tuple(range(1, ndim)) + (0,))
-        idx, fac = self.space.partial_index(r)
-        # coef has shape (ncoef, *payload); fancy-index the leading axis,
-        # then move the derivative axes behind the payload.
-        arr = self.coef[idx]            # (m,)*r + payload
-        arr = arr * fac.reshape(fac.shape + (1,) * len(self.payload_shape))
-        return np.moveaxis(arr, tuple(range(r)), tuple(range(-r, 0)))
+            return self.coef[1:self.space.nvars + 1].transpose((*range(1, self.coef.ndim), 0))
+        jet = self.truncate(r)
+        for _ in range(r):
+            jet = jet.gradient()
+        return jet.const
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):

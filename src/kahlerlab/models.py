@@ -82,7 +82,9 @@ class KahlerModel:
     """A model manifold: named charts, a metric function per chart with exact
     jets, a constant complex structure per chart, and transition maps.
 
-    Immutable after construction; instances are safe to share.
+    Its geometry is fixed at construction.  The one thing that changes is
+    the memo of ``hproj.geom``, keyed by chart and point coordinates and
+    bounded there, so the memo lives and dies with its model.
     """
 
     def __init__(self, kind, n, charts, default_chart, metric_fns, j_mats,
@@ -98,6 +100,7 @@ class KahlerModel:
         self.periods = None if periods is None else np.asarray(periods, dtype=float)
         self.sample_halfwidth = sample_halfwidth
         self.params = params or {}
+        self._geom_memo = {}
 
     # -- chart plumbing ------------------------------------------------
     def chart(self, name=None):
@@ -388,6 +391,7 @@ def rescale_model(model, c):
     if c == 0.0:
         raise InvalidInputError("scale must be nonzero")
     scaled = copy.copy(model)
+    scaled._geom_memo = {}
     scaled._metric_fns = {name: (lambda xs, _f=base_fn: c * _f(xs))
                           for name, base_fn in model._metric_fns.items()}
     scaled.params = {**model.params, "scale": c * model.params.get("scale", 1.0)}

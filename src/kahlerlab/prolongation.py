@@ -280,12 +280,10 @@ def _transport_batch(model, B, segments, a, lam, mu, step):
     for seg in segments:
         nsteps = max(1, int(np.ceil(seg.length / step)))
         h = 1.0 / nsteps
-        chart_box = model.chart(seg.chart)
         ts = np.minimum(np.arange(2 * nsteps + 1) * (h / 2.0), 1.0)
         xdot = seg.x1 - seg.x0
         X = seg.x0 + ts[:, None] * xdot
-        if model.periods is None and not (
-                np.all(X >= chart_box.lo) and np.all(X <= chart_box.hi)):
+        if model.periods is None and not model.chart(seg.chart).contains(X).all():
             raise OutOfDomainError(f"transport left chart {seg.chart}",
                                    last_sample=(X[-1],) + _unpack(coords @ frame, d))
         G, GAM = _geo_floats_batch(model, seg.chart, X)

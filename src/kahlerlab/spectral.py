@@ -256,18 +256,13 @@ def make_projector(L: ExtendedOperator, target=None, tol=1e-6):
     # Lagrange polynomial on the cluster centers
     poly = np.array([1.0])
     denom = 1.0
-    seen_conj = set()
-    for c, cnt, e in mp.clusters:
+    for c, cnt, e in mp.clusters:       # one cluster per conjugate pair
         if abs(c.real - sel) < 1e-12 and abs(c.imag) < 1e-12:
             continue
         if abs(c.imag) < 1e-12:
             poly = np.convolve(poly, [1.0, -c.real])
             denom *= (sel - c.real)
         else:
-            key = (round(c.real, 12), round(abs(c.imag), 12))
-            if key in seen_conj:
-                continue
-            seen_conj.add(key)
             poly = np.convolve(poly, [1.0, -2.0 * c.real, abs(c) ** 2])
             denom *= (sel - c.real) ** 2 + c.imag ** 2
     coeffs = poly / denom
@@ -386,12 +381,7 @@ def eigenstructure_report(model, proj_sol, point, tol=1e-6):
     interior = tol < mu < 1.0 - tol
     case = "interior" if interior else ("mu_one" if mu >= 1.0 - tol else "mu_zero")
     ones = sum(cnt for v, cnt in table if abs(v - 1.0) <= 1e-5)
-    if case == "interior":
-        k = ones // 2
-    elif case == "mu_one":
-        k = ones // 2
-    else:
-        k = max(ones // 2 - 1, 0)
+    k = max(ones // 2 - 1, 0) if case == "mu_zero" else ones // 2
 
     angle = 0.0
     if interior:

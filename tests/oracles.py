@@ -52,6 +52,12 @@ from LU with partial pivoting on the value part, over those products.
 ``padded`` lifts a jet to a higher order, so that the package's table
 recurrence can be run on an order-1 jet and compared with its order-1 case.
 
+The jet-derivative references are the package's former ones:
+``stacked_partials`` differentiates one variable at a time from a shift
+table built from the exponent dict and stacks the partials on a trailing
+axis, and ``factorial_derivatives`` reads the order-r partials off the
+degree-r coefficients times alpha!.
+
 ``CNum`` is a complex number over generic real scalars (floats, arrays or
 jets), so complex chart formulas run on jets; it divides through ``recip``,
 since a Jet has no division operator.  ``fd_gradient`` and
@@ -64,6 +70,7 @@ package's residuals, which must vanish on them, or show a planted defect.
 ``killing_residual`` is the Lie derivative of the metric along a vector field.
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -604,3 +611,42 @@ def log_abs(x):
         out = out + term * ((-1.0) ** (k + 1) / k)
         term = jet_mul_add_at(term, t)
     return out
+
+
+def _shift_table(space, var):
+    """Index maps of d/dx_var from ``space`` into the space one order lower."""
+    lower = jet_space(space.nvars, space.order - 1)
+    src, fac = [], []
+    for e in lower.exponents:
+        e_up = list(e)
+        e_up[var] += 1
+        src.append(space.index[tuple(e_up)])
+        fac.append(float(e_up[var]))
+    return np.array(src), np.array(fac)
+
+
+def stacked_partials(a):
+    """The gradient jet of ``a``, one variable at a time from its shift
+    table, stacked on a trailing axis."""
+    lower = jet_space(a.space.nvars, a.space.order - 1)
+    parts = []
+    for var in range(a.space.nvars):
+        src, fac = _shift_table(a.space, var)
+        parts.append(a.coef[src] * fac.reshape((-1,) + (1,) * len(a.payload_shape)))
+    return Jet(lower, np.stack(parts, axis=-1))
+
+
+def factorial_derivatives(a, r):
+    """Order-r partials at the base point, read off each coefficient of
+    degree r times alpha!, derivative axes behind the payload."""
+    m = a.space.nvars
+    idx = np.empty((m,) * r, dtype=int)
+    fac = np.empty((m,) * r)
+    for ks in itertools.product(range(m), repeat=r):
+        e = [0] * m
+        for k in ks:
+            e[k] += 1
+        idx[ks] = a.space.index[tuple(e)]
+        fac[ks] = math.prod(math.factorial(k) for k in e)
+    arr = a.coef[idx] * fac.reshape(fac.shape + (1,) * len(a.payload_shape))
+    return np.moveaxis(arr, tuple(range(r)), tuple(range(-r, 0)))

@@ -555,15 +555,14 @@ def _same_jet(a, b):
 @pytest.mark.parametrize("kind", sorted(MEMO_MODELS))
 def test_geom_serves_lower_orders_exactly(kind, rng):
     # the order-q part of a memoized order-p entry is the order-q evaluation, bit for bit
-    from kahlerlab import hproj
     model = MEMO_MODELS[kind]()
     p = model.sample_points(rng, 1)[0]
     for top in (1, 2, 3):
         for q in range(top):
-            hproj._GEOM_MEMO.clear()
+            model._geom_memo.clear()
             geom(model, p, top)
             served = geom(model, p, q)
-            hproj._GEOM_MEMO.clear()
+            model._geom_memo.clear()
             fresh = geom(model, p, q)
             assert _same_jet(served["g"], fresh["g"]) and _same_jet(served["ginv"], fresh["ginv"])
             assert (q == 0 and served["gamma"] is None and fresh["gamma"] is None
@@ -577,12 +576,14 @@ def test_pair_a_jet_serves_lower_orders_exactly(fs2, ga_diag, rng, monkeypatch):
     p = fs2.point(rng.uniform(-0.5, 0.5, 4))
     for top in range(1, 5):
         for q in range(top):
-            hproj._GEOM_MEMO.clear()
+            fs2._geom_memo.clear()
+            ga_diag._geom_memo.clear()
             sol = PairSolution(fs2, ga_diag)
             sol.a_jet(p, top)
             served = sol.with_B(-0.25).a_jet(p, q)     # with_B copies share the memo
             assert builds[-1] == top
-            hproj._GEOM_MEMO.clear()
+            fs2._geom_memo.clear()
+            ga_diag._geom_memo.clear()
             fresh = PairSolution(fs2, ga_diag).a_jet(p, q)
             assert _same_jet(served, fresh)
 
@@ -600,12 +601,33 @@ def test_memoized_jets_are_read_only(fs2, ga_diag, rng):
 def test_geom_memo_holds_one_entry_per_point_within_its_bound(rng):
     from kahlerlab import hproj
     fs2 = fubini_study(2)
-    hproj._GEOM_MEMO.clear()
     for k in range(5):
         p = fs2.point(rng.uniform(-0.5, 0.5, 4))
         for order in (0, 2, 1, 3):
             geom(fs2, p, order)
-        assert len(hproj._GEOM_MEMO) == k + 1     # one entry per point, not per order
+        assert len(fs2._geom_memo) == k + 1     # one entry per point, not per order
     for _ in range(hproj._MEMO_BOUND + 100):
         geom(fs2, fs2.point(rng.uniform(-0.5, 0.5, 4)), 0)
-        assert len(hproj._GEOM_MEMO) <= hproj._MEMO_BOUND + 1
+        assert len(fs2._geom_memo) <= hproj._MEMO_BOUND + 1
+
+
+def test_geom_memo_dies_with_its_model(rng):
+    # no module-level dict holds a model: once its last reference is gone,
+    # the model and its memo are collected
+    import gc
+    import weakref
+    model = fubini_study(2)
+    geom(model, model.point(rng.uniform(-0.5, 0.5, 4)), 2)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_rescaled_model_has_its_own_geom_memo(rng):
+    # a copy that shared the memo would serve the original metric at the same point
+    fs2 = fubini_study(2)
+    p = fs2.point(rng.uniform(-0.5, 0.5, 4))
+    g = geom(fs2, p, 2)["g"]
+    scaled = geom(rescale_model(fs2, 3.0), p, 2)["g"]
+    assert np.array_equal(scaled.coef, 3.0 * g.coef)

@@ -1,15 +1,17 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from kahlerlab.errors import InvalidInputError, SingularMetricError
-from kahlerlab.jets import (Jet, jet_einsum, jet_eval, jet_logdet, jet_matrix_inverse,
-                            jet_space)
+from kahlerlab.jets import (Jet, JetSpace, jet_einsum, jet_eval, jet_logdet,
+                            jet_matrix_inverse, jet_space)
+from kahlerlab.models import fubini_study, pullback_fs
 
-from oracles import (CNum, fd_gradient, fd_hessian, generic_det, jet_einsum_add_at,
-                     jet_mul_add_at, log_abs, newton_matrix_inverse, newton_reciprocal,
-                     padded, recip)
+from oracles import (CNum, factorial_derivatives, fd_gradient, fd_hessian, generic_det,
+                     jet_einsum_add_at, jet_mul_add_at, log_abs, newton_matrix_inverse,
+                     newton_reciprocal, padded, recip, stacked_partials)
 
 
 def f_rational(xs):
@@ -199,6 +201,8 @@ def test_error_paths():
         j.derivatives(2)
     with pytest.raises(InvalidInputError):
         j.truncate(3)
+    with pytest.raises(InvalidInputError):
+        j.truncate(0).gradient()                 # an order-0 jet has no derivative
 
 
 def _order1(rng, shape, zeros=False):
@@ -301,3 +305,67 @@ def test_variables_are_views_of_one_read_only_seeding_array(order, shape, rng):
     with pytest.raises(ValueError):
         xs.stacked.coef[0] = 0.0
     assert type(xs[1:3]) is list                 # a slice is plain scalars
+
+
+DIFF_SPACES = [(m, p) for p in range(1, 5) for m in range(1, 7)] + [(12, 2)]
+
+
+@pytest.mark.parametrize("nvars,order", DIFF_SPACES)
+def test_gradient_and_derivatives_equal_the_per_variable_references(nvars, order, rng):
+    # one gather over the differentiation table gives the bits of the
+    # per-variable shift tables stacked on a trailing axis, laid out as
+    # np.stack lays them out, and r gradients give the alpha! table's partials
+    space = jet_space(nvars, order)
+    for payload in [(), (3,), (5, 4, 4)]:
+        a = Jet(space, rng.normal(size=(space.ncoef,) + payload))
+        got, ref = a.gradient(), stacked_partials(a)
+        assert got.space is ref.space
+        assert got.coef.flags.c_contiguous
+        assert np.array_equal(got.coef, ref.coef)
+        for r in range(2, min(order, 3) + 1):
+            assert np.array_equal(a.derivatives(r), factorial_derivatives(a, r))
+
+
+@pytest.mark.parametrize("model", [fubini_study(2), fubini_study(4),
+                                   pullback_fs(np.array([[2.0, 0.5j, 0.0],
+                                                         [0.0, 1.0, 0.3],
+                                                         [0.1, 0.0, 1.5 - 0.2j]]))],
+                         ids=["fs2", "fs4", "pullback"])
+def test_metric_partials_equal_the_factorial_table_through_order_4(model, rng):
+    x = rng.uniform(-0.4, 0.4, model.dim)
+    g = jet_eval(model.metric_fn(), list(x), 4)
+    for r in range(1, 5):
+        assert np.array_equal(g.derivatives(r), factorial_derivatives(g, r))
+
+
+def test_differentiation_writes_nothing_to_a_jet_space(rng):
+    # every table is built at construction; differentiating reads them only
+    spaces = [JetSpace(3, 3)] + [jet_space(3, p) for p in range(3)]
+    before = [pickle.dumps(vars(s)) for s in spaces]
+    a = Jet(spaces[0], rng.normal(size=(spaces[0].ncoef, 2, 2)))
+    a.gradient().gradient().gradient()
+    for r in range(4):
+        a.derivatives(r)
+    assert [pickle.dumps(vars(s)) for s in spaces] == before
+
+
+def test_gradient_python_call_budget(rng):
+    # one gradient is a fixed count of Python-level calls; stacking one
+    # partial per variable made 50 of them in 8 variables, and 6 more per
+    # added variable
+    import sys
+    space = jet_space(8, 3)
+    a = Jet(space, rng.normal(size=(space.ncoef, 8, 8)))
+    a.gradient()                                    # the lower space built
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        a.gradient()
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 15, sorted(calls)

@@ -157,6 +157,21 @@ def test_make_projector_on_existing_projector():
     assert np.allclose(P.matrix, P0, atol=1e-12)
 
 
+def test_make_projector_with_a_complex_pair(rng):
+    # a rotation block (eigenvalues 0.5 +- 0.8i) and two real eigenvalues in a
+    # random basis: the projector onto the largest real one is the
+    # eigendecomposition's, and the pair is one cluster of multiplicity 2
+    D = np.zeros((4, 4))
+    D[:2, :2] = [[0.5, -0.8], [0.8, 0.5]]
+    D[2, 2], D[3, 3] = 2.0, -1.0
+    S = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    Sinv = np.linalg.inv(S)
+    P, _ = make_projector(ExtendedOperator(S @ D @ Sinv, None, 1))
+    assert np.max(np.abs(P.matrix - S[:, 2:3] @ Sinv[2:3])) < 1e-10
+    clusters = minimal_poly(S @ D @ Sinv).clusters
+    assert sorted(cnt for c, cnt, e in clusters if abs(c.imag) > 1e-12) == [2]
+
+
 def test_make_projector_rejects_identity():
     with pytest.raises(NoProjectorError):
         make_projector(ExtendedOperator(np.eye(6), None, 2))
