@@ -15,6 +15,7 @@ rank procedure in ``degree_of_mobility``).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -67,25 +68,110 @@ def fiber_dimension(n):
 
 def fiber_basis(model):
     """Basis of the prolonged fiber: hermitian symmetric a's, the lambda
-    directions, and mu.  Length (n+1)^2."""
+    directions, and mu.  Length (n+1)^2; the states are read-only views of
+    the cached fiber frame (``_fiber_tables``)."""
     basis = [ProlongedState(*state)
-             for state in zip(*_unpack(_fiber_frame(model.j_matrix()), model.dim))]
+             for state in zip(*_fiber_tables(model.j_matrix()).states)]
     if len(basis) != fiber_dimension(model.n):
         raise InvalidInputError("hermitian basis has unexpected dimension")
     return basis
 
 
-def _fiber_frame(J):
-    """The fiber basis as the packed rows of one (N, d^2 + d + 1) matrix E:
-    orthonormal, so ``P @ E.T`` gives the fiber coordinates of packed
-    states P, projected onto the fiber (a hermitized), and ``C @ E`` the
-    packed states of coordinates C."""
-    d = J.shape[0]
-    herm = hermitian_symmetric_basis(J).reshape(-1, d * d)
-    E = np.zeros((len(herm) + d + 1, d * d + d + 1))
-    E[:len(herm), :d * d] = herm
-    E[len(herm):, d * d:] = np.eye(d + 1)
-    return E
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class _FiberTables:
+    """The fiber frame of one complex structure J, and the prolonged
+    connection tabulated in its coordinates.
+
+    The frame is the fiber basis as the packed rows of one (N, d^2 + d + 1)
+    matrix E: orthonormal, so ``P @ E.T`` gives the fiber coordinates of
+    packed states P, projected onto the fiber (a hermitized), and ``C @ E``
+    the packed states of coordinates C.
+
+    ``_rhs`` is linear in the state, and apart from its B-terms bilinear in
+    the state and the features phi = [g xdot, g J xdot, vec C] of the
+    geometry along x' = xdot, C = xdot.Gamma.  So the stage matrix of
+    ``_step_matrices`` at a point is A = A_B + phi T, where A_B holds the
+    B-terms and depends on xdot alone (``b_term``), and the table T depends
+    on J alone: its row f is ``_rhs`` at B = 0 on the frame states, in
+    fiber coordinates, under a probe geometry whose features are the unit
+    vector e_f.  g xdot and g J xdot reach only the derivatives of the
+    lambda and mu states, the last d + 1 rows of A, so the 2d g rows keep
+    the entries of those rows only: the flattened N x N matrix from
+    ``tail`` on.  The g rows are built with the entry and the d^2 C rows
+    on the first curved segment, d rows per ``_rhs`` call, so no temporary
+    holds every feature.  Every array is read-only.
+    """
+
+    def __init__(self, J):
+        d = J.shape[0]
+        herm = hermitian_symmetric_basis(J).reshape(-1, d * d)
+        frame = np.zeros((len(herm) + d + 1, d * d + d + 1))
+        frame[:len(herm), :d * d] = herm
+        frame[len(herm):, d * d:] = np.eye(d + 1)
+        self.J, self.frame = J, _readonly(frame)
+        self.states = _unpack(self.frame, d)
+        # probe velocity e_0, and the covectors w with w @ [e_0, J e_0] = 1:
+        # the metric e_i w[0] has g xdot = e_i, g J xdot = 0; e_i w[1] the reverse
+        self._xdot = np.eye(d)[0]
+        W = np.stack([self._xdot, J[:, 0]], axis=1)
+        self._w = np.linalg.solve(W.T @ W, W.T)
+        self.tail = len(herm) * len(frame)
+        self.g_rows = _readonly(self._tabulate(0, 2 * d, self.tail))
+        self._c_rows = None
+
+    def _tabulate(self, start, stop, first=0):
+        """Rows start..stop of T, from entry ``first`` of their flattened
+        N x N matrices on."""
+        d = self.J.shape[0]
+        out = np.empty((stop - start, len(self.frame) ** 2 - first))
+        for lo in range(start, stop, d):
+            feats = range(lo, min(lo + d, stop))
+            gm = np.zeros((len(feats), 1, d, d))
+            gamma = np.zeros((len(feats), 1, d, d, d))
+            for k, f in enumerate(feats):
+                if f < 2 * d:                        # g xdot or g J xdot = e_i
+                    gm[k, 0, f % d] = self._w[f // d]
+                else:                                # C = xdot.Gamma = e_a e_i^T
+                    a, i = divmod(f - 2 * d, d)
+                    gamma[k, 0, a, 0, i] = 1.0
+            da, dlam, dmu = _rhs(gm, self.J, gamma, self._xdot, 0.0, *self.states)
+            rows = self.coordinates(da, dlam, dmu).reshape(len(feats), -1)
+            out[lo - start:lo - start + len(feats)] = rows[:, first:]
+        return out
+
+    def coordinates(self, da, dlam, dmu):
+        """Derivatives of the frame states, packed, in fiber coordinates:
+        (..., N, N), row m that of state m."""
+        return _pack(da, dlam, np.broadcast_to(dmu, dlam.shape[:-1])) @ self.frame.T
+
+    def c_rows(self):
+        """The C rows of T, built on first use."""
+        if self._c_rows is None:
+            d = self.J.shape[0]
+            self._c_rows = _readonly(self._tabulate(2 * d, 2 * d + d * d))
+        return self._c_rows
+
+    def b_term(self, xdot, B):
+        """A_B: the stage matrix of the B-terms, which need no geometry."""
+        d = len(xdot)
+        return self.coordinates(*_rhs(np.zeros((d, d)), self.J, np.zeros((d, d, d)),
+                                      xdot, B, *self.states))
+
+
+@lru_cache(maxsize=1)
+def _tables_by_bytes(d, raw):
+    return _FiberTables(np.frombuffer(raw).reshape(d, d))
+
+
+def _fiber_tables(J):
+    """The ``_FiberTables`` of J, from a cache keyed by its bytes, so that no
+    model is held.  It keeps the last J only: an op transports under one J,
+    and the C rows at d = 12 hold 2.8 MB."""
+    return _tables_by_bytes(J.shape[0], np.ascontiguousarray(J, dtype=float).tobytes())
 
 
 # -- residuals of the prolonged system ---------------------------------------
@@ -230,24 +316,55 @@ def _rhs(gm, J, gamma, xdot, B, a, lam, mu):
 _STEP_BLOCK = 32
 
 
-def _step_matrices(G, J, GAM, xdot, B, frame, h):
+def _stage_matrices(tables, G, GAM, xdot, A_B, curved):
+    """The stage matrices A_B + phi T (see ``_FiberTables``) at a stack of
+    stage points with geometry G, GAM, (S, N, N): the C features times the C
+    rows when ``curved`` (Gamma != 0), and the g features times the g rows
+    into the last d + 1 rows of each matrix."""
+    S, N = len(G), len(tables.frame)
+    A = ((xdot @ GAM).reshape(S, -1) @ tables.c_rows() if curved
+         else np.zeros((S, N * N)))
+    A += A_B.reshape(-1)
+    A[:, tables.tail:] += np.concatenate([G @ xdot, (G @ tables.J) @ xdot],
+                                         axis=1) @ tables.g_rows
+    return A.reshape(S, N, N)
+
+
+def _step_matrices(tables, G, GAM, xdot, A_B, h):
     """The RK4 step matrices, in fiber coordinates, of the k steps whose
-    2k + 1 stage points carry the geometry G, GAM.
+    2k + 1 stage points carry the geometry G, GAM, on a segment with
+    velocity xdot and B-terms A_B.
 
     The system is linear, so a stage is the matrix A whose row m is the
     derivative of fiber basis state m, in fiber coordinates: y' = y A for a
     row of coordinates y.  One RK4 step is then y -> y M with
     M = I + h/6 (A_0 + 2 K_2 + 2 K_3 + K_4), K_2 = A_h + h/2 A_0 A_h,
-    K_3 = A_h + h/2 K_2 A_h and K_4 = A_1 + h K_3 A_1.
+    K_3 = A_h + h/2 K_2 A_h and K_4 = A_1 + h K_3 A_1.  The stage matrices
+    of the k + 1 step ends and of the k half steps come from one
+    ``_stage_matrices`` call each; A_0 and A_1 are contiguous views of the
+    ends.
     """
-    d = J.shape[0]
-    da, dlam, dmu = _rhs(G[:, None], J, GAM[:, None], xdot, B, *_unpack(frame, d))
-    A = _pack(da, dlam, np.broadcast_to(dmu, dlam.shape[:-1])) @ frame.T
-    A0, Ah, A1 = A[:-1:2], A[1::2], A[2::2]
-    K2 = Ah + (h / 2) * (A0 @ Ah)
-    K3 = Ah + (h / 2) * (K2 @ Ah)
-    K4 = A1 + h * (K3 @ A1)
-    return np.eye(len(frame)) + (h / 6) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+    curved = bool(GAM.any())
+    ends = _stage_matrices(tables, G[::2], GAM[::2], xdot, A_B, curved)
+    half = _stage_matrices(tables, G[1::2], GAM[1::2], xdot, A_B, curved)
+    A0, A1 = ends[:-1], ends[1:]
+    K = A0 @ half
+    K *= h / 2
+    K += half                           # K_2
+    M = 2.0 * K
+    M += A0
+    P = K @ half
+    P *= h / 2
+    P += half                           # K_3
+    np.multiply(P, 2.0, out=K)
+    M += K
+    np.matmul(P, A1, out=K)
+    K *= h
+    K += A1                             # K_4
+    M += K
+    M *= h / 6
+    M.reshape(len(M), -1)[:, ::M.shape[1] + 1] += 1.0     # + I
+    return M
 
 
 def _tree_product(M):
@@ -266,16 +383,20 @@ def _transport_batch(model, B, segments, a, lam, mu, step):
     entry) and leave as states.  Along each segment, the geometry at every
     RK4 stage point is one batched evaluation, and its velocity x1 - x0 is
     the same at every stage.  The segment's propagator is the product of
-    its step matrices (``_step_matrices``), built _STEP_BLOCK steps at a
-    time and multiplied as a pairwise tree, each block's product joining
-    the running one; it is applied to the coordinates once.  When every
-    stage point sees the same g and Gamma vanishes (a constant metric),
-    every step is the same matrix, built from the first three stage points
-    and raised to the step count.
+    its step matrices (``_step_matrices``, from J's cached connection table
+    ``_fiber_tables``), built _STEP_BLOCK steps at a time and multiplied as
+    a pairwise tree, each block's product joining the running one; it is
+    applied to the coordinates once.  When every stage point sees the same
+    g and Gamma vanishes (a constant metric), every step is the same
+    matrix, built from the first three stage points and raised to the step
+    count.  The B-terms of the stage matrices depend on the velocity
+    alone, so they are built once per segment.  A segment that leaves its
+    chart raises ``OutOfDomainError`` with its start point and the states
+    there.
     """
-    J = model.j_matrix(segments[0].chart)
-    d = J.shape[0]
-    frame = _fiber_frame(J)
+    tables = _fiber_tables(model.j_matrix(segments[0].chart))
+    frame = tables.frame
+    d = model.dim
     coords = _pack(a, lam, mu) @ frame.T
     for seg in segments:
         nsteps = max(1, int(np.ceil(seg.length / step)))
@@ -285,17 +406,18 @@ def _transport_batch(model, B, segments, a, lam, mu, step):
         X = seg.x0 + ts[:, None] * xdot
         if model.periods is None and not model.chart(seg.chart).contains(X).all():
             raise OutOfDomainError(f"transport left chart {seg.chart}",
-                                   last_sample=(X[-1],) + _unpack(coords @ frame, d))
+                                   last_sample=(seg.x0,) + _unpack(coords @ frame, d))
         G, GAM = _geo_floats_batch(model, seg.chart, X)
+        A_B = tables.b_term(xdot, B)
         if not GAM.any() and (G == G[0]).all():
-            M = _step_matrices(G[:3], J, GAM[:3], xdot, B, frame, h)[0]
+            M = _step_matrices(tables, G[:3], GAM[:3], xdot, A_B, h)[0]
             coords = coords @ np.linalg.matrix_power(M, nsteps)
             continue
         prop = np.eye(len(frame))
         for s in range(0, nsteps, _STEP_BLOCK):
             block = slice(2 * s, 2 * min(s + _STEP_BLOCK, nsteps) + 1)
-            prop = prop @ _tree_product(_step_matrices(G[block], J, GAM[block], xdot, B,
-                                                       frame, h))
+            prop = prop @ _tree_product(_step_matrices(tables, G[block], GAM[block], xdot,
+                                                       A_B, h))
         coords = coords @ prop
     return _unpack(coords @ frame, d)
 
@@ -481,7 +603,7 @@ def _pencil_candidates(model, base_point):
     stream has to confirm each candidate."""
     g = geom(model, base_point, 2)
     gm, J = g["g"].const, g["J"]
-    herm = hermitian_symmetric_basis(J)
+    herm = _fiber_tables(J).states[0][:-(len(J) + 1)]
     L = _int_cond_rows(gm, J, riemann(g["gamma"]), 0.0, herm)
     T = -_int_cond_rows(gm, J, np.zeros((gm.shape[0],) * 4), 1.0, herm)
     w = np.linalg.eigvals(np.linalg.lstsq(T, L, rcond=None)[0])

@@ -39,7 +39,10 @@ The transport reference is the prolonged system's right-hand side along a
 curve, written index by index with einsum, and ``stepwise_transport``, which
 takes one classical RK4 step of it after another on the states themselves,
 hermitizing a after every step, the way the package transported before it
-built a propagator per segment.
+built a propagator per segment.  ``stage_matrices_reference`` evaluates that
+right-hand side on every fiber basis state at every stage point, and
+``fiber_frame_reference`` builds the frame anew each time, the way the
+package did before it tabulated the connection once per complex structure.
 
 The curvature-condition reference is the defect's former kernel: the two
 a R terms and the four bracket terms as einsum outer products, with the
@@ -77,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from kahlerlab.geometry import cov_step_jet
-from kahlerlab.hproj import SolutionField, geom
+from kahlerlab.hproj import SolutionField, geom, hermitian_symmetric_basis
 from kahlerlab.jets import Jet, jet_einsum, jet_eval, jet_space
 from kahlerlab.prolongation import _geo_floats_batch
 from kahlerlab.tensors import hermitize, jtensor_contract
@@ -503,6 +506,35 @@ def stepwise_transport(model, B, segments, a, lam, mu, step):
                           for u, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
             a = hermitize(a, J)
     return a, lam, mu
+
+
+def fiber_frame_reference(J):
+    """The fiber basis as the packed rows (a row-major, lambda, mu) of one
+    matrix, built from ``hermitian_symmetric_basis`` on every call, the way
+    the package built its frame before it cached one per J."""
+    d = J.shape[0]
+    herm = hermitian_symmetric_basis(J).reshape(-1, d * d)
+    E = np.zeros((len(herm) + d + 1, d * d + d + 1))
+    E[:len(herm), :d * d] = herm
+    E[len(herm):, d * d:] = np.eye(d + 1)
+    return E
+
+
+def stage_matrices_reference(G, J, GAM, xdot, B):
+    """The RK4 stage matrices at a stack of stage points, the way the
+    package built them before it tabulated the connection: ``rhs_einsum``
+    on every fiber basis state at every stage point, packed, and taken to
+    fiber coordinates with the frame.  (S, N, N); row m is the derivative
+    of basis state m."""
+    d = J.shape[0]
+    E = fiber_frame_reference(J)
+    a, lam, mu = E[:, :d * d].reshape(-1, d, d), E[:, d * d:-1], E[:, -1]
+    out = []
+    for gm, gamma in zip(G, GAM):
+        da, dlam, dmu = rhs_einsum(gm, J, gamma, xdot, B, a, lam, mu)
+        out.append(np.concatenate([da.reshape(len(E), -1), dlam, dmu[:, None]], axis=1)
+                   @ E.T)
+    return np.stack(out)
 
 
 # -- curvature condition ------------------------------------------------------

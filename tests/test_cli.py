@@ -202,6 +202,7 @@ def test_bad_samples_or_step_exit_2(tmp_path, capsys, argv):
 
 
 _FLAT = ["verify-kahler", "--model", "flat"]
+_MODEL_KEY = {"product": "'factors'", "pullback": "'A'", "fs": "'n'"}
 
 
 @pytest.mark.parametrize("cfg_values", [
@@ -215,10 +216,11 @@ _FLAT = ["verify-kahler", "--model", "flat"]
 ])
 def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
     # step and verify_basis are mobility's keys: verify-kahler refuses them
-    # as keys it does not read, before any bound is reached
+    # as keys it does not read, before any bound is reached; a config model
+    # runs without --model, which it would refuse before reading the model
     key = next(iter(cfg_values))
     argv = (["mobility", "--model", "torus", "--B", "0"] if key in ("step", "verify_basis")
-            else _FLAT)
+            else ["verify-kahler"] if key == "model" else _FLAT)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_values))
     out = tmp_path / "rep.json"
@@ -226,7 +228,9 @@ def test_bad_samples_or_step_from_config_exit_2(tmp_path, capsys, cfg_values):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
-    if key != "model":
+    if key == "model":       # the descriptor key that is missing or malformed
+        assert _MODEL_KEY[cfg_values["model"]["kind"]] in err
+    else:
         assert f"{key} must be" in err
 
 

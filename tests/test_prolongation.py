@@ -18,7 +18,8 @@ from kahlerlab.prolongation import (ROW_FLOOR, SVD_TOL, MobilityConfig, Prolonge
                                     transport_states)
 from kahlerlab.tensors import hermitize
 from conftest import traced_peak
-from oracles import (ExplicitSolution, TrivialSolution, oracle_geometry, rhs_einsum,
+from oracles import (ExplicitSolution, TrivialSolution, fiber_frame_reference,
+                     oracle_geometry, rhs_einsum, stage_matrices_reference,
                      stepwise_transport, zero_vec_jet)
 
 
@@ -207,6 +208,20 @@ def test_transport_domain_error(fs2, rng):
                          [st], step=0.05)
 
 
+def test_transport_domain_error_reports_the_start_of_the_failing_segment(fs2):
+    # the sample is the last point transport reached, inside the chart, with
+    # the states carried there along the segments before the failing one
+    segments = [Segment("c0", np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])),
+                Segment("c0", np.array([1.0, 0.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0, 0.0]))]
+    states = prolongation._stack(fiber_basis(fs2))
+    with pytest.raises(OutOfDomainError) as err:
+        prolongation._transport_batch(fs2, -0.25, segments, *states, 2e-3)
+    point, *carried = err.value.last_sample
+    assert np.array_equal(point, segments[1].x0) and fs2.chart("c0").contains(point)
+    ref = prolongation._transport_batch(fs2, -0.25, segments[:1], *states, 2e-3)
+    assert all(np.array_equal(c, r) for c, r in zip(carried, ref))
+
+
 def test_frobenius_completion_matches_pair_jets(fs2, pair_sol, rng):
     # jets completed from the fiber state agree with the closed-form field
     p = fs2.point(rng.uniform(-0.4, 0.4, 4))
@@ -249,6 +264,15 @@ def test_curved_transport_matches_the_frobenius_series(fs2):
     gaps = [gap(3, h) for h in (0.08, 0.04, 0.02)]
     assert all(12.0 <= coarse / fine <= 20.0 for coarse, fine in zip(gaps, gaps[1:])), gaps
     assert gap(5, 0.02) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["fs2", "fs4", "tori3"])
+def test_fiber_basis_is_the_frame_bit_for_bit(name, fs2):
+    # the cached frame holds the bytes a fresh hermitian basis gives
+    model = {"fs2": fs2, "fs4": fubini_study(4), "tori3": _tori3()}[name]
+    basis = fiber_basis(model)
+    assert _packed(basis).tobytes() == fiber_frame_reference(model.j_matrix()).tobytes()
+    assert not basis[0].a.flags.writeable
 
 
 def test_fiber_basis_dimension(fs2, torus2):
@@ -676,21 +700,85 @@ def test_transport_is_fourth_order(fs2):
 
 
 def test_transport_builds_stages_once_per_block(fs2, flat2, monkeypatch):
-    # one _rhs call builds every stage matrix of a block of steps: no call
-    # per step comes back, and a constant segment builds one step
-    calls = []
-    rhs = prolongation._rhs
-    monkeypatch.setattr(prolongation, "_rhs", lambda *args: calls.append(1) or rhs(*args))
+    # with J's tables built, the geometry reaches the stage matrices through
+    # the table only: _rhs runs once per segment, for the B-terms, on the
+    # frame states alone (no stage axis), so neither a call per step or per
+    # block nor an _rhs on every (stage, state) pair comes back, whatever
+    # the step; a constant segment builds one step the same way
     st = fiber_basis(fs2)[0]
     seg = Segment("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
+    transport_states(fs2, -0.25, [seg], [st], step=0.05)          # builds the C rows
+    shapes = []
+    rhs = prolongation._rhs
+
+    def counted(*args):
+        out = rhs(*args)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(prolongation, "_rhs", counted)
+    N = len(fiber_basis(fs2))
     for step in (0.05, 2e-3, seg.length / prolongation._STEP_BLOCK):
-        nsteps = int(np.ceil(seg.length / step))
-        calls.clear()
+        shapes.clear()
         transport_states(fs2, -0.25, [seg], [st], step=step)
-        assert 1 <= len(calls) <= np.ceil(nsteps / prolongation._STEP_BLOCK)
-    calls.clear()
+        assert shapes == [(N, 4, 4)]
+    shapes.clear()
     transport_states(flat2, -0.25, [seg, seg], [st], step=2e-3)
-    assert len(calls) == 2
+    assert shapes == [(N, 4, 4)] * 2
+
+
+@pytest.mark.parametrize("d,J", [(4, "standard"), (8, "standard"), (12, "standard"),
+                                 (4, "conjugated")])
+def test_tabulated_stage_matrices_match_the_per_state_reference(d, J, rng):
+    # A_B + phi T against the right-hand side on every (stage, basis state)
+    # pair, at random symmetric g, random Gamma and xdot, and B != 0; a
+    # conjugated J has no 0 / +-1 pattern for the probe covectors to lean on
+    from kahlerlab.models import standard_J
+    Jm = standard_J(d // 2)
+    if J == "conjugated":
+        P = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+        Jm = P @ Jm @ np.linalg.inv(P)
+    tables = prolongation._fiber_tables(Jm)
+    G = rng.normal(size=(5, d, d))
+    G, GAM, xdot = G + np.swapaxes(G, 1, 2), rng.normal(size=(5, d, d, d)), rng.normal(size=d)
+    B = -0.3
+    A_B = tables.b_term(xdot, B)
+    for curved, gam in ((True, GAM), (False, np.zeros_like(GAM))):
+        got = prolongation._stage_matrices(tables, G, gam, xdot, A_B, curved)
+        ref = stage_matrices_reference(G, Jm, gam, xdot, B)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fiber_tables_are_built_once_per_J_and_read_only(fs2, ga_diag, monkeypatch):
+    # one entry per J (FS n = 2 and a pullback share theirs): its 2d g rows
+    # with the entry, its d^2 C rows on the first curved segment only, one
+    # frame for the whole B sweep; and nothing the cache holds can be
+    # written or keeps a model alive
+    import gc
+    import weakref
+    prolongation._tables_by_bytes.cache_clear()
+    built, herm = [], []
+    tabulate, basis = prolongation._FiberTables._tabulate, prolongation.hermitian_symmetric_basis
+    monkeypatch.setattr(prolongation._FiberTables, "_tabulate",
+                        lambda self, *args: built.append(args[:2]) or tabulate(self, *args))
+    monkeypatch.setattr(prolongation, "hermitian_symmetric_basis",
+                        lambda J: herm.append(1) or basis(J))
+    seg = Segment("c0", np.zeros(4), np.array([0.3, -0.2, 0.1, 0.25]))
+    report = degree_of_mobility(fs2, None, config=MobilityConfig(max_batches=3))
+    for model in (fs2, ga_diag, fs2):
+        transport_states(model, -0.25, [seg], fiber_basis(model)[:2], step=2e-3)
+    assert herm == [1] and built == [(0, 8), (8, 24)] and report.dimension == 9
+    assert prolongation._tables_by_bytes.cache_info().currsize == 1
+    tables = prolongation._fiber_tables(fs2.j_matrix())
+    arrays = [tables.J, tables.frame, tables.g_rows, tables.c_rows(), *tables.states]
+    assert not any(arr.flags.writeable for arr in arrays)
+    model = fubini_study(2)
+    ref = weakref.ref(model)
+    transport_states(model, -0.25, [seg], fiber_basis(model)[:1], step=2e-3)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", ["torus", "tori3"])
